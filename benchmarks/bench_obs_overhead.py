@@ -47,24 +47,13 @@ class TinySession(MediaSession):
     kind = "tiny"
 
     def __init__(self, name, segments, rate_hz=None):
-        super().__init__(name, rate_hz=rate_hz)
-        self._n = segments
-        self._i = 0
+        super().__init__(name, range(1, segments + 1), rate_hz=rate_hz)
 
-    def expected_segment_frames(self):
+    def _batch_frames(self, batch):
         return 1
 
     def estimated_stage_ops(self):
         return {"alu": 1e4}
-
-    def _peek_done(self):
-        return self._i >= self._n
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
 
     def _payload(self, batch):
         return str(batch).encode()

@@ -32,7 +32,6 @@ from .psychoacoustic import (
     threshold_in_quiet,
 )
 from .rpeltp import EncodedSpeech, RpeLtpDecoder, RpeLtpEncoder
-from .subbandpipe import batched_default, resolve_batched, use_batched
 
 __all__ = [
     "Allocation",
@@ -56,10 +55,7 @@ __all__ = [
     "allocate_bits_reference",
     "band_energies",
     "bark",
-    "batched_default",
     "flat_allocation",
-    "resolve_batched",
-    "use_batched",
     "quantizer_snr_db",
     "segmental_snr_db",
     "snr_db",

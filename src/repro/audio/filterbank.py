@@ -198,17 +198,15 @@ class PolyphaseFilterbank:
         self,
         num_bands: int = 32,
         taps_per_band: int = 16,
-        batched: bool | None = None,
+        batched: bool = True,
     ) -> None:
         if num_bands < 2:
             raise ValueError("need at least 2 bands")
         if taps_per_band < 4:
             raise ValueError("prototype needs at least 4 taps per band")
-        from .subbandpipe import resolve_batched
-
         self.num_bands = num_bands
         self.taps_per_band = taps_per_band
-        self.batched = resolve_batched(batched)
+        self.batched = batched
         self._analysis, self._synthesis, _ = _bank_matrices(
             num_bands, taps_per_band
         )

@@ -26,17 +26,9 @@ Every step is **bit-identical** to the scalar reference implementations
 pinned per kernel, per codec, and across every registered runtime
 scenario in ``tests/test_audio_subbandpipe.py``; the speedup is asserted
 in ``benchmarks/bench_audio_pipeline.py`` (>= 5x on whole-stream encode).
-
-The module-level default (:func:`batched_default`, toggled by the
-:func:`use_batched` context manager) picks the pipeline for codecs and
-filterbanks constructed without an explicit ``batched=`` argument, which
-is how the scenario-wide equivalence tests force whole engine runs down
-the scalar path.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,37 +39,6 @@ from .frame import (
     SCF_FIELD_BITS,
     scalefactor_table,
 )
-
-_BATCHED_DEFAULT = True
-
-
-def batched_default() -> bool:
-    """Whether audio codecs built without ``batched=`` run batched."""
-    return _BATCHED_DEFAULT
-
-
-@contextmanager
-def use_batched(flag: bool):
-    """Temporarily pin the default audio pipeline (True = batched).
-
-    Affects codecs *constructed* inside the block — the runtime sessions
-    build their encoders per segment, so wrapping an engine run switches
-    the whole scenario, exactly like the video toggle
-    (:func:`repro.video.blockpipe.use_batched`).
-    """
-    global _BATCHED_DEFAULT
-    previous = _BATCHED_DEFAULT
-    _BATCHED_DEFAULT = bool(flag)
-    try:
-        yield
-    finally:
-        _BATCHED_DEFAULT = previous
-
-
-def resolve_batched(batched: bool | None) -> bool:
-    """Constructor helper: explicit flag wins, ``None`` takes the default."""
-    return batched_default() if batched is None else bool(batched)
-
 
 # ----------------------------------------------------------- frame packing
 

@@ -397,8 +397,9 @@ class StreamEngine:
         scheduler.bind(clocks)
         now = 0.0
         steps = 0
+        unfinished = clocks
         while True:
-            unfinished = [c for c in clocks if not c.finished]
+            unfinished = [c for c in unfinished if not c.finished]
             if not unfinished:
                 break
             ready = [c for c in unfinished if c.release() <= now + _EPS]
@@ -410,7 +411,10 @@ class StreamEngine:
             hits_before = session.segments_from_cache
             deliveries_before = len(session.delivery_log)
             result = session.step(self.cache)
-            if result is None:  # defensive: session lied about finished
+            if result is None:
+                # Drained although ``finished`` still says otherwise:
+                # the clock leaves the run instead of spinning the loop.
+                unfinished.remove(clock)
                 continue
             steps += 1
             from_cache = session.segments_from_cache > hits_before

@@ -21,6 +21,10 @@ Segment granularity is what makes the runtime compose:
   profile that the task-graph/DSE models consume (see
   :func:`~repro.runtime.engine.measured_application`).
 
+A session's input is cut into segment batches when it is built (frame
+slices, coded segments or PCM slices); :class:`MediaSession` owns the one
+cursor over them, so each session kind declares only its codec work.
+
 The codecs the sessions wrap default to the frame-batched pipelines —
 video through :mod:`repro.video.blockpipe`, audio through
 :mod:`repro.audio.subbandpipe`; ``stage_ops`` profiles are analytic
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -210,13 +215,42 @@ def frames_payload(frames) -> bytes:
     return b"".join(parts)
 
 
+def _encode_segment(config, frames, ops, **extras) -> SegmentResult:
+    """Encode ``frames`` as one segment, adding its stage ops to ``ops``."""
+    encoded = VideoEncoder(config).encode(frames)
+    me = 0
+    for fs in encoded.frame_stats:
+        me += fs.me_evaluations
+        merge_ops(ops, fs.stage_ops)
+    return SegmentResult(
+        data=encoded.data,
+        frames=len(frames),
+        bits=encoded.total_bits,
+        stage_ops=ops,
+        me_evaluations=me,
+        extras=extras,
+    )
+
+
+def _pixels_per_frame(batches) -> float:
+    return float(np.asarray(batches[0][0]).size) if batches else 0.0
+
+
 class MediaSession:
-    """Base session: segment iteration, caching, and accounting."""
+    """Base session: the input cursor, caching, and accounting.
+
+    The input arrives as segment batches (by default lists of frames), or
+    flat with ``per_segment`` items to a batch.  A subclass declares only
+    what differs by kind: ``kind``, ``delivery_point``, :meth:`_payload`,
+    :meth:`_fingerprint`, :meth:`_process`, :meth:`estimated_stage_ops`,
+    :meth:`_assess_delivery` and, when its batches are not frame lists,
+    :meth:`_batch_frames`.
+    """
 
     kind = "media"
 
-    #: Fallback segment length (frames) when a session cannot know its next
-    #: batch size up front (coded inputs reveal frames only after decode).
+    #: Segment length (frames) when the next batch cannot tell: the
+    #: session is drained or the batch's frame count is unknown.
     nominal_segment_frames = 8
 
     #: Where a :class:`repro.net.DeliveryPipe` plugs in: ``"input"`` for
@@ -226,9 +260,22 @@ class MediaSession:
     #: (analysis) — those cannot carry a pipe.
     delivery_point: str | None = None
 
-    def __init__(self, name: str, rate_hz: float | None = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        items=(),
+        rate_hz: float | None = None,
+        per_segment: int | None = None,
+    ) -> None:
+        if per_segment is not None and per_segment < 1:
+            raise ValueError("a segment must cover at least one input item")
         self.name = name
+        self._items = items
+        self._per_segment = per_segment
+        self._cursor = 0
         self.segments: list[SegmentResult] = []
+        #: Frames in :attr:`segments`, kept as segments are appended.
+        self.frames_done = 0
         self.segments_computed = 0
         self.segments_from_cache = 0
         #: Contracted output rate in frames/s; ``None`` means best-effort
@@ -242,15 +289,26 @@ class MediaSession:
         #: One :class:`repro.net.DeliveredSegment` per transported segment.
         self.delivery_log: list = []
 
+    @cached_property
+    def batches(self):
+        """The input, one batch per segment; :meth:`step` takes them in order.
+
+        A flat input (``per_segment`` given) is cut on first use, so building
+        hundreds of sessions over one feed slices nothing up front."""
+        items, size = self._items, self._per_segment
+        if size is None:
+            return items
+        return [items[i:i + size] for i in range(0, len(items), size)]
+
     # -- subclass surface --------------------------------------------------
 
-    def _next_batch(self):
-        """The next unit of input, or ``None`` when the stream is drained."""
-        raise NotImplementedError
+    def _batch_frames(self, batch) -> int | None:
+        """Frame count of a batch before it runs (``None``: unknown)."""
+        return len(batch)
 
     def _payload(self, batch) -> bytes:
         """Bytes identifying ``batch`` for the cache key."""
-        raise NotImplementedError
+        return frames_payload(batch)
 
     def _fingerprint(self) -> str:
         """Configuration half of the cache key."""
@@ -264,10 +322,14 @@ class MediaSession:
 
     @property
     def finished(self) -> bool:
-        return self._peek_done()
+        """Whether every input batch has been stepped."""
+        return self._cursor >= len(self.batches)
 
-    def _peek_done(self) -> bool:
-        raise NotImplementedError
+    def _next_batch(self):
+        """The batch the next :meth:`step` takes, ``None`` once drained."""
+        if self._cursor < len(self.batches):
+            return self.batches[self._cursor]
+        return None
 
     def attach_delivery(self, pipe) -> "MediaSession":
         """Route this session's coded segments through a lossy transport.
@@ -290,6 +352,7 @@ class MediaSession:
         batch = self._next_batch()
         if batch is None:
             return None
+        self._cursor += 1
         delivered = None
         clean = None
         if self.delivery is not None and self.delivery_point == "input":
@@ -318,6 +381,7 @@ class MediaSession:
             self.segments_from_cache += 1
             cache.credit(result.stage_ops)
         self.segments.append(result)
+        self.frames_done += result.frames
         if self.delivery is not None and self.delivery_point == "output":
             delivered = self.delivery.transport(result.data, release)
         if delivered is not None:
@@ -373,15 +437,9 @@ class MediaSession:
     def expected_segment_frames(self) -> int:
         """Best estimate of the next segment's frame count (for release and
         deadline derivation before the segment has actually run)."""
-        if self.segments:
-            return max(1, self.segments[-1].frames)
-        return self.nominal_segment_frames
-
-    def deadline_for(self, frame_index: int) -> float:
-        """Virtual-time deadline of the ``frame_index``-th output frame."""
-        if not self.rate_hz or self.rate_hz <= 0:
-            return math.inf
-        return frame_index / self.rate_hz
+        batch = self._next_batch()
+        frames = None if batch is None else self._batch_frames(batch)
+        return self.nominal_segment_frames if frames is None else frames
 
     def next_release(self) -> float:
         """When the next segment's input finishes arriving (0 if unrated)."""
@@ -425,10 +483,13 @@ class MediaSession:
 
         Coarse, analytic, and available *before* the session has run —
         subclasses return a stage-keyed profile (same keys as the
-        measured ``stage_ops``) whose total lands within roughly 2x of
-        the measured numbers, so platform-aware admission can map the
+        measured ``stage_ops``), so platform-aware admission can map the
         estimate onto accelerators.  ``None`` exempts the session from
-        admission.
+        admission.  Measured / estimated totals on full-length segments
+        of the registered scenarios (``tests/test_session_estimates.py``):
+        video_encode 0.92-0.98 and analysis 0.97 hold the 2x band;
+        transcode 0.50-0.52, video_decode 0.42-3.94 and audio_encode
+        3.24-3.58 miss it.
         """
         return None
 
@@ -461,10 +522,6 @@ class MediaSession:
     # -- accounting --------------------------------------------------------
 
     @property
-    def frames_done(self) -> int:
-        return sum(s.frames for s in self.segments)
-
-    @property
     def total_bits(self) -> int:
         return sum(s.bits for s in self.segments)
 
@@ -485,41 +542,7 @@ class MediaSession:
         return {cls: v / n for cls, v in self.stage_totals().items()}
 
 
-class _FrameFedSession(MediaSession):
-    """Shared plumbing for sessions that consume a list of luma frames."""
-
-    def __init__(self, name: str, frames, segment_frames: int) -> None:
-        super().__init__(name)
-        if segment_frames < 1:
-            raise ValueError("segment must cover at least one frame")
-        self.frames = list(frames)
-        self.segment_frames = segment_frames
-        self._cursor = 0
-
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.frames)
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        batch = self.frames[self._cursor:self._cursor + self.segment_frames]
-        self._cursor += len(batch)
-        return batch
-
-    def _payload(self, batch) -> bytes:
-        return frames_payload(batch)
-
-    def expected_segment_frames(self) -> int:
-        remaining = len(self.frames) - self._cursor
-        if remaining <= 0:
-            return max(1, self.segment_frames)
-        return min(self.segment_frames, remaining)
-
-    def _pixels_per_frame(self) -> float:
-        return float(np.asarray(self.frames[0]).size) if self.frames else 0.0
-
-
-class VideoEncodeSession(_FrameFedSession):
+class VideoEncodeSession(MediaSession):
     """Encode a frame feed GOP-by-GOP through the Figure-1 encoder.
 
     Each segment is a standalone bitstream opening with an I-frame, so the
@@ -543,7 +566,8 @@ class VideoEncodeSession(_FrameFedSession):
         self.config = config or EncoderConfig()
         if segment_frames is None:
             segment_frames = self.config.gop_size
-        super().__init__(name, frames, segment_frames)
+        super().__init__(name, list(frames), per_segment=segment_frames)
+        self.nominal_segment_frames = segment_frames
 
     #: Declared encode cost per pixel by motion-search algorithm, within
     #: ~2x of the measured stage_ops totals (full search scales with the
@@ -551,7 +575,7 @@ class VideoEncodeSession(_FrameFedSession):
     _OPS_PER_PIXEL = {"three_step": 70.0, "diamond": 50.0, "none": 30.0}
 
     def estimated_stage_ops(self) -> dict[str, float] | None:
-        px = self._pixels_per_frame() * self.expected_segment_frames()
+        px = _pixels_per_frame(self.batches) * self.expected_segment_frames()
         if self.config.search_algorithm == "full":
             window = (2 * self.config.search_range + 1) ** 2
             per_px = 0.9 * window + 12.0
@@ -570,19 +594,7 @@ class VideoEncodeSession(_FrameFedSession):
         return config_fingerprint(self.config)
 
     def _process(self, batch) -> SegmentResult:
-        encoded = VideoEncoder(self.config).encode(batch)
-        ops: dict[str, float] = {}
-        me = 0
-        for fs in encoded.frame_stats:
-            me += fs.me_evaluations
-            merge_ops(ops, fs.stage_ops)
-        return SegmentResult(
-            data=encoded.data,
-            frames=len(batch),
-            bits=encoded.total_bits,
-            stage_ops=ops,
-            me_evaluations=me,
-        )
+        return _encode_segment(self.config, batch, {})
 
     def _assess_delivery(
         self, delivered, clean: bytes | None, result: SegmentResult
@@ -607,47 +619,36 @@ class VideoDecodeSession(MediaSession):
     delivery_point = "input"
 
     def __init__(self, name: str, coded_segments: list[bytes]) -> None:
-        super().__init__(name)
-        self.coded_segments = list(coded_segments)
-        self._cursor = 0
+        super().__init__(name, list(coded_segments))
 
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.coded_segments)
+    @property
+    def nominal_segment_frames(self) -> int:
+        """Without a readable header, the last decoded segment's length."""
+        if self.segments:
+            return max(1, self.segments[-1].frames)
+        return MediaSession.nominal_segment_frames
 
-    def _next_batch(self):
-        if self._peek_done():
+    def _batch_frames(self, batch) -> int | None:
+        return coded_segment_frames(batch)
+
+    #: Declared ops per coded input bit, by stage: ~25 across the decode
+    #: chain, roughly.
+    _OPS_PER_BIT = {"vld": 6.0, "inverse_dct": 10.0, "motion_compensation": 9.0}
+
+    def estimated_stage_ops(self) -> dict[str, float] | None:
+        if not self.batches:
             return None
-        seg = self.coded_segments[self._cursor]
-        self._cursor += 1
-        return seg
+        mean_bits = 8.0 * sum(len(s) for s in self.batches) / len(self.batches)
+        return {stage: k * mean_bits for stage, k in self._OPS_PER_BIT.items()}
 
     def _payload(self, batch) -> bytes:
         return batch
 
-    def expected_segment_frames(self) -> int:
-        if self._cursor < len(self.coded_segments):
-            frames = coded_segment_frames(self.coded_segments[self._cursor])
-            if frames is not None:
-                return frames
-        return super().expected_segment_frames()
-
-    def estimated_stage_ops(self) -> dict[str, float] | None:
-        if not self.coded_segments:
-            return None
-        # ~25 ops per coded bit across the decode chain, roughly.
-        mean_bits = 8.0 * sum(
-            len(s) for s in self.coded_segments
-        ) / len(self.coded_segments)
-        return {
-            "vld": 6.0 * mean_bits,
-            "inverse_dct": 10.0 * mean_bits,
-            "motion_compensation": 9.0 * mean_bits,
-        }
-
     def _fingerprint(self) -> str:
         return "VideoDecoder()"
 
-    def _process(self, batch) -> SegmentResult:
+    def _decode(self, batch) -> tuple[DecodedVideo, dict[str, float]]:
+        """Decode a segment, concealing damage; total its stage ops."""
         if self.delivery is None:
             decoded = VideoDecoder().decode(batch)
         else:
@@ -655,6 +656,10 @@ class VideoDecodeSession(MediaSession):
         ops: dict[str, float] = {}
         for frame_ops in decoded.stage_ops:
             merge_ops(ops, frame_ops)
+        return decoded, ops
+
+    def _process(self, batch) -> SegmentResult:
+        decoded, ops = self._decode(batch)
         return SegmentResult(
             data=b"",
             frames=len(decoded.frames),
@@ -672,20 +677,18 @@ class VideoDecodeSession(MediaSession):
         delivered.concealed_frames = int(result.extras.get("concealed", 0))
         if delivered.intact or clean is None:
             return
-        reference = VideoDecoder().decode(clean)
-        delivered.psnr_db = _capped_psnr(
-            np.stack([f.y for f in reference.frames]),
-            np.stack(result.extras["luma"]),
-            peak=255.0,
-        )
+        # Damaged segments are rare and never cached: re-deriving the
+        # concealed planes here (identical to what _process decoded)
+        # spares transcode results from carting them around.
+        score_video_delivery(delivered, clean)
 
 
 class AudioEncodeSession(MediaSession):
     """Encode PCM through the Figure-2 subband encoder, a batch at a time.
 
-    The encoder is built per segment, so it follows the module-wide
-    pipeline default (:func:`repro.audio.subbandpipe.use_batched` flips a
-    whole engine run between the batched and scalar-reference paths)."""
+    The encoder is built per segment on the batched subband pipeline
+    (``AudioEncoder(batched=False)`` is the bit-identical scalar
+    reference)."""
 
     kind = "audio_encode"
     delivery_point = "output"
@@ -697,44 +700,26 @@ class AudioEncodeSession(MediaSession):
         config: AudioEncoderConfig | None = None,
         segment_audio_frames: int = 8,
     ) -> None:
-        super().__init__(name)
-        if segment_audio_frames < 1:
-            raise ValueError("segment must cover at least one audio frame")
         self.config = config or AudioEncoderConfig()
-        self.pcm = np.asarray(pcm, dtype=np.float64)
-        self.segment_samples = (
-            segment_audio_frames * self.config.samples_per_frame
-        )
-        self._cursor = 0
+        pcm = np.asarray(pcm, dtype=np.float64)
+        samples = segment_audio_frames * self.config.samples_per_frame
+        super().__init__(name, pcm, per_segment=samples)
+        self.nominal_segment_frames = segment_audio_frames
 
-    def _peek_done(self) -> bool:
-        return self._cursor >= self.pcm.size
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        batch = self.pcm[self._cursor:self._cursor + self.segment_samples]
-        self._cursor += batch.size
-        return batch
-
-    def _payload(self, batch) -> bytes:
-        return np.ascontiguousarray(batch).tobytes()
-
-    def expected_segment_frames(self) -> int:
-        remaining = self.pcm.size - self._cursor
-        samples = min(self.segment_samples, remaining) if remaining > 0 \
-            else self.segment_samples
-        return max(1, math.ceil(samples / self.config.samples_per_frame))
+    def _batch_frames(self, batch) -> int | None:
+        return math.ceil(batch.size / self.config.samples_per_frame)
 
     def estimated_stage_ops(self) -> dict[str, float] | None:
-        remaining = self.pcm.size - self._cursor
-        samples = min(self.segment_samples, remaining) if remaining > 0 \
-            else self.segment_samples
+        batch = self._next_batch()
+        samples = self._per_segment if batch is None else batch.size
         # ~200 ops per sample: polyphase filterbank plus masking model.
         return {
             "filterbank": 120.0 * samples,
             "psychoacoustic": 80.0 * samples,
         }
+
+    def _payload(self, batch) -> bytes:
+        return np.ascontiguousarray(batch).tobytes()
 
     def _fingerprint(self) -> str:
         return config_fingerprint(self.config)
@@ -775,14 +760,23 @@ class AudioEncodeSession(MediaSession):
         )
 
 
-class TranscodeSession(MediaSession):
+class TranscodeSession(VideoDecodeSession):
     """Decode coded segments and re-encode them at a different operating
     point — the farm workload of the paper's Section 3 transcoding
     discussion (each generation is lossy; see experiment C6 in DESIGN.md).
     """
 
     kind = "transcode"
-    delivery_point = "input"
+
+    #: ~60 ops per coded bit: the full decode chain plus a fast-search
+    #: re-encode of the recovered frames.
+    _OPS_PER_BIT = {
+        **VideoDecodeSession._OPS_PER_BIT,
+        "motion_estimation": 20.0,
+        "dct": 10.0,
+        "quantize": 2.5,
+        "vlc": 2.5,
+    }
 
     def __init__(
         self,
@@ -790,88 +784,21 @@ class TranscodeSession(MediaSession):
         coded_segments: list[bytes],
         out_config: EncoderConfig | None = None,
     ) -> None:
-        super().__init__(name)
-        self.coded_segments = list(coded_segments)
+        super().__init__(name, coded_segments)
         self.out_config = out_config or EncoderConfig(quality=50)
-        self._cursor = 0
-
-    def _peek_done(self) -> bool:
-        return self._cursor >= len(self.coded_segments)
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        seg = self.coded_segments[self._cursor]
-        self._cursor += 1
-        return seg
-
-    def _payload(self, batch) -> bytes:
-        return batch
-
-    def expected_segment_frames(self) -> int:
-        if self._cursor < len(self.coded_segments):
-            frames = coded_segment_frames(self.coded_segments[self._cursor])
-            if frames is not None:
-                return frames
-        return super().expected_segment_frames()
-
-    def estimated_stage_ops(self) -> dict[str, float] | None:
-        if not self.coded_segments:
-            return None
-        # ~60 ops per coded bit: the full decode chain plus a fast-search
-        # re-encode of the recovered frames.
-        mean_bits = 8.0 * sum(
-            len(s) for s in self.coded_segments
-        ) / len(self.coded_segments)
-        return {
-            "vld": 6.0 * mean_bits,
-            "inverse_dct": 10.0 * mean_bits,
-            "motion_compensation": 9.0 * mean_bits,
-            "motion_estimation": 20.0 * mean_bits,
-            "dct": 10.0 * mean_bits,
-            "quantize": 2.5 * mean_bits,
-            "vlc": 2.5 * mean_bits,
-        }
 
     def _fingerprint(self) -> str:
         return config_fingerprint(self.out_config)
 
     def _process(self, batch) -> SegmentResult:
-        if self.delivery is None:
-            decoded = VideoDecoder().decode(batch)
-        else:
-            decoded = decode_with_concealment(batch, self._expected_input)
-        ops: dict[str, float] = {}
-        for frame_ops in decoded.stage_ops:
-            merge_ops(ops, frame_ops)
+        decoded, ops = self._decode(batch)
         luma = [f.y for f in decoded.frames]
-        encoded = VideoEncoder(self.out_config).encode(luma)
-        me = 0
-        for fs in encoded.frame_stats:
-            me += fs.me_evaluations
-            merge_ops(ops, fs.stage_ops)
-        return SegmentResult(
-            data=encoded.data,
-            frames=len(luma),
-            bits=encoded.total_bits,
-            stage_ops=ops,
-            me_evaluations=me,
-            extras={"concealed": decoded.concealed},
+        return _encode_segment(
+            self.out_config, luma, ops, concealed=decoded.concealed
         )
 
-    def _assess_delivery(
-        self, delivered, clean: bytes | None, result: SegmentResult
-    ) -> None:
-        delivered.concealed_frames = int(result.extras.get("concealed", 0))
-        if delivered.intact or clean is None:
-            return
-        # Damaged segments are rare and never cached: re-deriving the
-        # concealed planes here (identical to what _process re-encoded)
-        # beats carting full luma through every retained result.
-        score_video_delivery(delivered, clean)
 
-
-class AnalysisSession(_FrameFedSession):
+class AnalysisSession(MediaSession):
     """Content analysis over a frame feed (Section 5: commercial cues).
 
     Runs the black-frame and shot-boundary detectors per segment and
@@ -888,13 +815,14 @@ class AnalysisSession(_FrameFedSession):
         segment_frames: int = 8,
         black_threshold: float = 35.0,
     ) -> None:
-        super().__init__(name, frames, segment_frames)
+        super().__init__(name, list(frames), per_segment=segment_frames)
+        self.nominal_segment_frames = segment_frames
         self.black = BlackFrameDetector(luma_threshold=black_threshold)
         self.shots = ShotBoundaryDetector()
 
     def estimated_stage_ops(self) -> dict[str, float] | None:
         frames = self.expected_segment_frames()
-        px = self._pixels_per_frame() * frames
+        px = _pixels_per_frame(self.batches) * frames
         return {"alu": 4.2 * px + 64.0 * frames, "mem": 2.0 * px}
 
     def _fingerprint(self) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import codec_tables as tables
 from .bitstream import BitReader
-from .blockpipe import read_plane_vectors, resolve_batched, vectors_to_plane
+from .blockpipe import read_plane_vectors, vectors_to_plane
 from .dct import idct_2d
 from .encoder import MAGIC, VERSION, _halve_motion
 from .frames import Frame
@@ -47,8 +47,8 @@ class VideoDecoder:
     transforms a whole plane of blocks at once.  Outputs are bit-identical.
     """
 
-    def __init__(self, batched: bool | None = None) -> None:
-        self.batched = resolve_batched(batched)
+    def __init__(self, batched: bool = True) -> None:
+        self.batched = batched
 
     def decode(self, data: bytes, conceal: bool = False) -> DecodedVideo:
         """Decode a stream; ``conceal`` survives truncated input.

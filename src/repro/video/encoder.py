@@ -29,7 +29,6 @@ from .bitstream import BitWriter
 from .blockpipe import (
     levels_to_plane,
     plane_to_vectors,
-    resolve_batched,
     write_plane_vectors,
 )
 from .dct import dct_2d, idct_2d
@@ -142,17 +141,16 @@ class VideoEncoder:
     ``batched`` selects the block-transform pipeline: the frame-granularity
     batched chain from :mod:`repro.video.blockpipe` (default) or the scalar
     block-at-a-time reference loop (``_code_plane_reference``).  Both emit
-    bit-identical streams; ``None`` defers to the module-wide default
-    (:func:`repro.video.blockpipe.batched_default`).
+    bit-identical streams.
     """
 
     def __init__(
         self,
         config: EncoderConfig | None = None,
-        batched: bool | None = None,
+        batched: bool = True,
     ) -> None:
         self.config = config or EncoderConfig()
-        self.batched = resolve_batched(batched)
+        self.batched = batched
         n = self.config.block_size
         self._ac_codec = tables.default_ac_codec(n)
         self._dc_codec = tables.default_dc_codec(n)

@@ -7,6 +7,7 @@ registered runtime scenario (digest comparison over whole engine
 workloads), mirroring the R6 pins in ``tests/test_video_blockpipe.py``.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -32,11 +33,10 @@ from repro.audio.frame import SAMPLES_PER_BAND, pack_frame, unpack_frame
 from repro.audio.psychoacoustic import PsychoacousticModel
 from repro.audio.subbandpipe import (
     batch_scalefactors,
-    batched_default,
     pack_frames_batch,
     unpack_frames_batch,
-    use_batched,
 )
+from repro.runtime import session as runtime_session
 from repro.runtime.scenarios import REGISTRY
 from repro.video.bitstream import BitReader, BitWriter
 from repro.workloads.audio_gen import (
@@ -366,16 +366,6 @@ class TestCodecEquivalence:
         assert fast.ancillary == ref.ancillary
         assert fast.sample_rate == ref.sample_rate
 
-    def test_use_batched_context_toggles_default(self):
-        assert batched_default() is True
-        with use_batched(False):
-            assert batched_default() is False
-            assert AudioEncoder().batched is False
-            assert AudioDecoder().batched is False
-            assert PolyphaseFilterbank().batched is False
-        assert batched_default() is True
-        assert AudioEncoder().batched is True
-
 
 def _scenario_digests(scenario, overrides):
     """Run every session of a scenario to completion; digest its outputs."""
@@ -391,14 +381,25 @@ def _scenario_digests(scenario, overrides):
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
-def test_batched_pipeline_bit_identical_on_every_scenario(scenario_name):
+def test_batched_pipeline_bit_identical_on_every_scenario(
+    scenario_name, monkeypatch
+):
     """R7 acceptance: per-session bitstream digests match the scalar
     reference audio path on every registered scenario (the video pipeline
-    stays at its default on both runs, so any drift is audio's)."""
+    stays at its default on both runs, so any drift is audio's).  The
+    scalar run swaps ``batched=False`` audio codecs into the sessions."""
     scenario = REGISTRY.get(scenario_name)
     overrides = SMALL.get(scenario_name, {})
-    with use_batched(True):
-        fast = _scenario_digests(scenario, overrides)
-    with use_batched(False):
-        ref = _scenario_digests(scenario, overrides)
+    fast = _scenario_digests(scenario, overrides)
+    monkeypatch.setattr(
+        runtime_session,
+        "AudioEncoder",
+        functools.partial(AudioEncoder, batched=False),
+    )
+    monkeypatch.setattr(
+        runtime_session,
+        "AudioDecoder",
+        functools.partial(AudioDecoder, batched=False),
+    )
+    ref = _scenario_digests(scenario, overrides)
     assert fast == ref

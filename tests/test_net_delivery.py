@@ -684,7 +684,7 @@ class TestLossyEndToEnd:
                 continue
             for session in sessions:
                 sent = (
-                    list(session.coded_segments)
+                    list(session.batches)
                     if session.delivery_point == "input"
                     else [seg.data for seg in session.segments]
                 )

@@ -73,29 +73,18 @@ class StubSession(MediaSession):
         stages=("alu",),
         fingerprint=None,
     ):
-        super().__init__(name, rate_hz=rate_hz)
-        self._n = segments
-        self._i = 0
+        super().__init__(name, range(1, segments + 1), rate_hz=rate_hz)
         self._ops = ops
         self._f = frames_per_segment
         self._stages = tuple(stages)
         #: Shared fingerprints make identical stubs cache-share.
         self._fp = fingerprint or f"stub({name})"
 
-    def expected_segment_frames(self):
+    def _batch_frames(self, batch):
         return self._f
 
     def estimated_stage_ops(self):
         return {s: self._ops for s in self._stages}
-
-    def _peek_done(self):
-        return self._i >= self._n
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
 
     def _payload(self, batch):
         return str(batch).encode()

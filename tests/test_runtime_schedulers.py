@@ -61,26 +61,15 @@ class StubSession(MediaSession):
         frames_per_segment=1,
         rate_hz=None,
     ):
-        super().__init__(name, rate_hz=rate_hz)
-        self._n = segments
-        self._i = 0
+        super().__init__(name, range(1, segments + 1), rate_hz=rate_hz)
         self._ops = ops
         self._f = frames_per_segment
 
-    def expected_segment_frames(self):
+    def _batch_frames(self, batch):
         return self._f
 
     def estimated_stage_ops(self):
         return {"alu": self._ops}
-
-    def _peek_done(self):
-        return self._i >= self._n
-
-    def _next_batch(self):
-        if self._peek_done():
-            return None
-        self._i += 1
-        return self._i
 
     def _payload(self, batch):
         return str(batch).encode()
@@ -166,6 +155,38 @@ class TestRoundRobin:
     def test_default_scheduler_is_roundrobin(self):
         engine = StreamEngine([StubSession("a")])
         assert engine.scheduler.name == "roundrobin"
+
+
+class NeverFinishedSession(StubSession):
+    """Claims it is never finished, though its input runs out; raises if
+    the engine keeps stepping it long after that."""
+
+    finished = False
+
+    def __init__(self, name, segments):
+        super().__init__(name, segments=segments)
+        self.step_calls = 0
+
+    def step(self, cache=None):
+        self.step_calls += 1
+        if self.step_calls > 10:
+            raise AssertionError("engine kept stepping a drained session")
+        return super().step(cache)
+
+
+class TestDrainedSessions:
+    @pytest.mark.parametrize("sched_name", ["roundrobin", "edf"])
+    def test_none_from_step_takes_the_session_out_of_the_run(
+        self, sched_name
+    ):
+        liar = NeverFinishedSession("liar", segments=2)
+        honest = StubSession("honest", segments=3)
+        report = StreamEngine(
+            [liar, honest], scheduler=make_scheduler(sched_name)
+        ).run()
+        assert liar.step_calls == 3  # two segments, then one None
+        assert report.steps == 5
+        assert [s.segments for s in report.sessions] == [2, 3]
 
 
 class TestReleaseGating:

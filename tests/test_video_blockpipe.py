@@ -6,6 +6,7 @@ kernel by kernel, codec by codec, and across every registered runtime
 scenario (digest comparison over whole engine workloads).
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,10 +18,8 @@ from hypothesis.extra.numpy import arrays
 from repro.image.jpeg import JpegLikeCodec
 from repro.video.bitstream import BitReader, BitWriter
 from repro.video.blockpipe import (
-    batched_default,
     plane_to_vectors,
     read_plane_vectors,
-    use_batched,
     vectors_to_plane,
     write_plane_vectors,
 )
@@ -36,6 +35,8 @@ from repro.video.decoder import VideoDecoder
 from repro.video.encoder import EncoderConfig, VideoEncoder
 from repro.video.quant import INTRA_BASE, dequantize, quantize, scaled_matrix
 from repro.video.rle import EOB, batch_run_levels, encode_block, encode_blocks
+from repro.runtime import scenarios as runtime_scenarios
+from repro.runtime import session as runtime_session
 from repro.runtime.scenarios import REGISTRY
 from repro.video.zigzag import (
     inverse_zigzag,
@@ -289,16 +290,6 @@ class TestCodecEquivalence:
         with pytest.raises(KeyError):
             JpegLikeCodec(batched=True).encode(wild, quality=50)
 
-    def test_use_batched_context_toggles_default(self):
-        assert batched_default() is True
-        with use_batched(False):
-            assert batched_default() is False
-            assert VideoEncoder().batched is False
-            assert VideoDecoder().batched is False
-            assert JpegLikeCodec().batched is False
-        assert batched_default() is True
-        assert VideoEncoder().batched is True
-
 
 def _scenario_digests(scenario, overrides):
     """Run every session of a scenario to completion; digest its outputs."""
@@ -316,14 +307,24 @@ def _scenario_digests(scenario, overrides):
 @pytest.mark.parametrize(
     "scenario_name", sorted(s.name for s in REGISTRY)
 )
-def test_batched_pipeline_bit_identical_on_every_scenario(scenario_name):
+def test_batched_pipeline_bit_identical_on_every_scenario(
+    scenario_name, monkeypatch
+):
     """R6 acceptance: bitstream digests match the scalar reference path on
     every registered scenario (encode, decode, transcode, and analysis
-    sessions alike)."""
+    sessions alike).  The scalar run swaps in ``batched=False`` codecs
+    where the runtime resolves them: the sessions and the precoded
+    scenario inputs."""
     scenario = REGISTRY.get(scenario_name)
     overrides = SMALL.get(scenario_name, {})
-    with use_batched(True):
-        fast = _scenario_digests(scenario, overrides)
-    with use_batched(False):
-        ref = _scenario_digests(scenario, overrides)
+    fast = _scenario_digests(scenario, overrides)
+    scalar_encoder = functools.partial(VideoEncoder, batched=False)
+    monkeypatch.setattr(runtime_session, "VideoEncoder", scalar_encoder)
+    monkeypatch.setattr(runtime_scenarios, "VideoEncoder", scalar_encoder)
+    monkeypatch.setattr(
+        runtime_session,
+        "VideoDecoder",
+        functools.partial(VideoDecoder, batched=False),
+    )
+    ref = _scenario_digests(scenario, overrides)
     assert fast == ref
