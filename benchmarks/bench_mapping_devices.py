@@ -1,19 +1,19 @@
 """C2 — Section 2: the five consumer devices as cost/performance/power
 points, produced by mapping each device's application mix onto its SoC."""
 
-from repro.core import ALL_SCENARIOS, MultimediaSystem, render_table
+from repro.core import DEVICES, MultimediaSystem, render_table
 from repro.mpsoc import battery_life_hours, duty_cycled_power_mw
 
 
 def map_all(algorithm: str = "greedy"):
     out = {}
-    for name, factory in ALL_SCENARIOS.items():
-        scenario = factory()
-        system = MultimediaSystem(
-            scenario.name, [scenario.application], scenario.platform
-        )
+    for name, device in DEVICES.items():
+        if not device.paper:
+            continue
+        application, platform = device.application(), device.platform()
+        system = MultimediaSystem(name, [application], platform)
         report = system.map(algorithm=algorithm, iterations=4)
-        out[name] = (scenario, report)
+        out[name] = (application, platform, report)
     return out
 
 
@@ -22,13 +22,13 @@ def test_five_device_cost_perf_power_points(benchmark, show):
     rows = []
     duty_power = {}
     costs = {}
-    for name, (scenario, report) in results.items():
+    for name, (application, platform, report) in results.items():
         ev = report.evaluation
         iterations = max(1.0, ev.makespan_s / ev.period_s)
         power = duty_cycled_power_mw(
-            scenario.platform,
+            platform,
             ev.energy.compute_j / iterations,
-            scenario.application.required_rate_hz,
+            application.required_rate_hz,
         )
         duty_power[name] = power
         costs[name] = ev.platform_cost
@@ -36,7 +36,7 @@ def test_five_device_cost_perf_power_points(benchmark, show):
             name,
             ev.platform_cost,
             1.0 / ev.period_s,
-            scenario.application.required_rate_hz,
+            application.required_rate_hz,
             power,
             battery_life_hours(power),
             "yes" if report.all_feasible else "NO",
@@ -60,5 +60,5 @@ def test_five_device_cost_perf_power_points(benchmark, show):
     assert duty_power["audio_player"] < 100.0
     # - the camera's full-search encode + 100 Hz servo mix does NOT fit its
     #   preset (the provisioning gap the tooling exists to expose).
-    feasible = {n for n, (_, r) in results.items() if r.all_feasible}
+    feasible = {n for n, (_, _, r) in results.items() if r.all_feasible}
     assert feasible == {"cell_phone", "audio_player", "set_top_box", "dvr"}

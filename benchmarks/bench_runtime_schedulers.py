@@ -12,7 +12,7 @@ Experiments R3–R5 in DESIGN.md made runnable:
    per-segment busy time the mapping/simulate.py evaluator reports.
 """
 
-from repro.core import EXTENDED_SCENARIOS, render_table
+from repro.core import DEVICES, render_table
 from repro.mapping import segment_cost
 from repro.runtime import (
     PlatformMapped,
@@ -80,7 +80,7 @@ def test_edf_sustains_more_streams_than_round_robin(show):
 
 
 def test_four_schedulers_compared_on_transcode_farm(show):
-    platform = EXTENDED_SCENARIOS["transcode_farm"]().platform
+    platform = DEVICES["transcode_farm"].platform()
     rows = []
     outputs = {}
     for name in ("roundrobin", "weighted_fair", "edf", "platform"):
@@ -119,7 +119,7 @@ def test_four_schedulers_compared_on_transcode_farm(show):
 
 
 def test_platform_mapped_utilization_matches_simulate_traces(show):
-    platform = EXTENDED_SCENARIOS["surveillance"]().platform
+    platform = DEVICES["surveillance"].platform()
     engine, report = run_surveillance(
         "platform", cameras=3, platform=platform
     )

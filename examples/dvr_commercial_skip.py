@@ -16,7 +16,7 @@ Also registered as a streaming workload:  python -m repro.runtime.run dvr
 import numpy as np
 
 from repro.analysis import CommercialDetector, score_detection
-from repro.core import MultimediaSystem, dvr_scenario, render_table
+from repro.core import DEVICES, MultimediaSystem, render_table
 from repro.support import BlockDevice, FatFileSystem
 from repro.video import EncoderConfig, VideoEncoder
 from repro.workloads.tv_gen import TvStreamConfig, generate_tv_stream
@@ -75,9 +75,9 @@ def main() -> None:
           f"({skipped} frames, {saved:.1f} s saved)")
 
     # --- can the DVR SoC run record+analyse+playback concurrently? ---------
-    scenario = dvr_scenario()
+    device = DEVICES["dvr"]
     report = MultimediaSystem(
-        scenario.name, [scenario.application], scenario.platform
+        device.name, [device.application()], device.platform()
     ).map(algorithm="greedy", iterations=4)
     print(report.summary())
 

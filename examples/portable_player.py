@@ -10,7 +10,7 @@ Also registered as a streaming workload:  python -m repro.runtime.run portable_p
 """
 
 from repro.audio import AudioDecoder, AudioEncoder, AudioEncoderConfig
-from repro.core import MultimediaSystem, audio_player_scenario
+from repro.core import DEVICES, MultimediaSystem
 from repro.drm import LicenseServer, PlaybackDevice, RightsGrant, encrypt_title
 from repro.support import BlockDevice, FatFileSystem
 from repro.workloads.audio_gen import music_like
@@ -76,9 +76,9 @@ def main() -> None:
     print(f"unlicensed title: {locked.denial.value}")
 
     # --- does the SoC keep up? --------------------------------------------
-    scenario = audio_player_scenario()
+    device = DEVICES["audio_player"]
     report = MultimediaSystem(
-        scenario.name, [scenario.application], scenario.platform
+        device.name, [device.application()], device.platform()
     ).map(algorithm="greedy", iterations=4)
     print(report.summary())
 

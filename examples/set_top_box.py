@@ -12,7 +12,7 @@ Run:  python examples/set_top_box.py
 Also registered as a streaming workload:  python -m repro.runtime.run set_top_box
 """
 
-from repro.core import MultimediaSystem, render_table, set_top_box_scenario
+from repro.core import DEVICES, MultimediaSystem, render_table
 from repro.drm import LicenseServer, PlaybackDevice, RightsGrant, encrypt_title
 from repro.support import udp_transaction
 from repro.video import EncoderConfig, VideoDecoder, VideoEncoder
@@ -84,9 +84,9 @@ def pay_per_view() -> None:
 
 def map_the_box() -> None:
     print("== mapping the box's full duty mix ==")
-    scenario = set_top_box_scenario()
+    device = DEVICES["set_top_box"]
     report = MultimediaSystem(
-        scenario.name, [scenario.application], scenario.platform
+        device.name, [device.application()], device.platform()
     ).map(algorithm="greedy", iterations=4)
     print(report.summary())
 

@@ -17,7 +17,7 @@ Also registered as a streaming workload:  python -m repro.runtime.run videoconfe
 import numpy as np
 
 from repro.audio import RpeLtpDecoder, RpeLtpEncoder, segmental_snr_db
-from repro.core import MultimediaSystem, cell_phone_scenario, render_table
+from repro.core import DEVICES, MultimediaSystem, render_table
 from repro.core.application import ApplicationModel
 from repro.video import EncoderConfig, VideoDecoder, VideoEncoder
 from repro.video.taskgraph import (
@@ -66,14 +66,13 @@ def symmetric_vs_asymmetric() -> None:
 
 def map_terminal() -> None:
     print("== mapping the full terminal onto the phone SoC ==")
-    scenario = cell_phone_scenario()
-    system = MultimediaSystem(
-        scenario.name, [scenario.application], scenario.platform
-    )
+    device = DEVICES["cell_phone"]
+    platform = device.platform()
+    system = MultimediaSystem(device.name, [device.application()], platform)
     report = system.map(algorithm="greedy", iterations=4)
     print(report.summary())
     pe_rows = []
-    for pe in scenario.platform.processors:
+    for pe in platform.processors:
         util = report.evaluation.pe_utilisation[pe.pe_id]
         actors = sum(1 for a, p in report.mapping.items() if p == pe.pe_id)
         pe_rows.append([pe.name, f"{util * 100:.0f}%", actors])

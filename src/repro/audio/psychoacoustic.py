@@ -31,6 +31,13 @@ FULL_SCALE_SPL = 96.0
 TONAL_OFFSET = 14.5
 NOISE_OFFSET = 6.0
 
+#: Ceiling on the threshold in quiet (dB SPL).  Terhardt's ``1e-3·f⁴``
+#: term passes 3082 dB above ~41.9 kHz, where ``10 ** (dB / 10)`` leaves
+#: float64 range; capping at 3000 dB keeps that power at 1e300.  Only
+#: bins above ~41.6 kHz reach the cap, so sample rates up to 83 kHz (and
+#: every ≤ 48 kHz rate, whose Nyquist bin sits near 332 dB) are unchanged.
+QUIET_CEILING_DB = 3000.0
+
 
 def bark(frequency_hz: np.ndarray | float) -> np.ndarray | float:
     """Zwicker's critical-band (Bark) scale.
@@ -48,12 +55,14 @@ def bark(frequency_hz: np.ndarray | float) -> np.ndarray | float:
 
 
 def threshold_in_quiet(frequency_hz: np.ndarray | float) -> np.ndarray | float:
-    """Absolute hearing threshold (dB SPL), Terhardt's approximation."""
+    """Absolute hearing threshold (dB SPL), Terhardt's approximation,
+    capped at :data:`QUIET_CEILING_DB`."""
     f = np.maximum(np.asarray(frequency_hz, dtype=np.float64), 20.0) / 1000.0
-    tq = (
+    tq = np.minimum(
         3.64 * f ** -0.8
         - 6.5 * np.exp(-0.6 * (f - 3.3) ** 2)
-        + 1e-3 * f ** 4
+        + 1e-3 * f ** 4,
+        QUIET_CEILING_DB,
     )
     return float(tq) if np.isscalar(frequency_hz) else tq
 

@@ -1,24 +1,22 @@
-"""The five consumer devices of the paper's Section 2, as mapping scenarios.
+"""The consumer devices of the paper's Section 2, declared once each.
 
 *"consumer multimedia devices cover a broad range of cost/performance/power
 points: multimedia-enabled cell phones; digital audio players; digital
 set-top boxes; digital video recorders; digital video cameras."*
 
-Each scenario pairs the device's application mix (built from the codec
-task graphs plus the support functions of Section 7) with its platform
-preset.  Experiment C2 in DESIGN.md maps all five and tabulates the
-resulting points.
-
-Beyond the paper's five, :data:`EXTENDED_SCENARIOS` adds three
-streaming-era devices (surveillance hub, video wall, transcoding-farm
-blade) that the streaming runtime (:mod:`repro.runtime`) exercises as
-multi-session workloads; they are kept out of :data:`ALL_SCENARIOS` so the
-C2 experiment keeps reproducing exactly the paper's device list.
+Each :class:`Device` entry in :data:`DEVICES` binds an application mix
+(built from the codec task graphs plus the support functions of Section 7)
+to its SoC preset at a runtime contract.  Experiment C2 in DESIGN.md maps
+the paper's five (``paper=True``) and tabulates the resulting points; the
+other seven are streaming-era devices (surveillance hubs, video wall,
+transcoding and podcast blades, conference bridge) that the streaming
+runtime (:mod:`repro.runtime`) exercises as multi-session workloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from ..audio.taskgraph import AudioWorkload
 from ..audio.taskgraph import decoder_taskgraph as audio_decoder_graph
@@ -139,432 +137,264 @@ def analysis_application(rate_hz: float = 30.0) -> ApplicationModel:
     return ApplicationModel("analysis", g, required_rate_hz=rate_hz)
 
 
-@dataclass(frozen=True)
-class RuntimeContract:
-    """A device's runtime service contract for the streaming engine.
-
-    ``scheduler`` names the default :mod:`repro.runtime.schedulers`
-    policy the device ships with, and ``rates_hz`` declares the output
-    rate (frames/s) each session *kind* must sustain — the deadlines the
-    virtual-time engine enforces and the admission test checks.  Kinds
-    absent from the map run best-effort (no deadlines), the paper's
-    Section 8 split between real-time and background computations.
-    """
-
-    scheduler: str = "roundrobin"
-    rates_hz: dict = field(default_factory=dict)
-
-    def rate_for(self, kind: str) -> float | None:
-        return self.rates_hz.get(kind)
+def _codec(name: str, taskgraph, workload) -> ApplicationModel:
+    """One codec task graph at its workload's frame rate."""
+    return ApplicationModel(name, taskgraph(workload), workload.frame_rate)
 
 
-#: Per-device runtime contracts, keyed like :data:`ALL_SCENARIOS` /
-#: :data:`EXTENDED_SCENARIOS`.  Rates follow each device's product spec
-#: above (15 Hz conferencing video, 30 Hz broadcast, ~40 Hz audio frame
-#: rates); live-analysis duties run at preview rate (30 Hz) even where
-#: recording runs slower, which is what makes deadline behaviour under
-#: mixed rates interesting (experiment R4 in DESIGN.md).
-RUNTIME_CONTRACTS = {
-    "cell_phone": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "video_decode": 15.0,
-                  "audio_encode": 40.0},
-    ),
-    "audio_player": RuntimeContract(
-        scheduler="roundrobin",
-        rates_hz={"audio_encode": 40.0},
-    ),
-    "set_top_box": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"video_decode": 30.0},
-    ),
-    "dvr": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 30.0, "analysis": 30.0},
-    ),
-    "camera": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 30.0},
-    ),
-    "surveillance": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "analysis": 30.0},
-    ),
-    "video_wall": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"video_decode": 30.0},
-    ),
-    "transcode_farm": RuntimeContract(
-        scheduler="platform",
-        rates_hz={"transcode": 30.0},
-    ),
-    # The audio-heavy streaming devices (experiment R7).  Contract rates
-    # follow the spec-sheet convention above (round numbers near the
-    # native Figure-2 cadence): the farm's 16 kHz episodes frame at
-    # ~41.7 Hz, contracted at 40; the bridge's scenario sets each room's
-    # exact native rate itself, this is the narrowband (8 kHz, ~20.8 Hz)
-    # floor for sessions added without one.
-    "podcast_farm": RuntimeContract(
-        scheduler="weighted_fair",
-        rates_hz={"audio_encode": 40.0},
-    ),
-    "conference_bridge": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"audio_encode": 20.0},
-    ),
-    # The lossy-delivery devices (experiment R8): same media rates as
-    # their wired twins — the channel changes what arrives, never what
-    # the contract owes — under EDF, since delivery cost eats slack and
-    # deadline-blind sweeps start missing first.
-    "wireless_surveillance": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"video_encode": 15.0, "analysis": 30.0},
-    ),
-    "lossy_wan_transcode": RuntimeContract(
-        scheduler="edf",
-        rates_hz={"transcode": 30.0},
-    ),
-}
+_QCIF15 = VideoWorkload(
+    width=176, height=144, frame_rate=15.0, search_algorithm="three_step"
+)
+_SIF30 = VideoWorkload(
+    width=352, height=240, frame_rate=30.0, search_algorithm="three_step"
+)
+_CIF30 = VideoWorkload(width=352, height=288, frame_rate=30.0)
 
 
-@dataclass
-class DeviceScenario:
-    """One of the paper's five consumer devices, ready to map."""
-
-    name: str
-    application: ApplicationModel
-    platform: Platform
-    description: str
-
-    def problem(self):
-        return self.application.problem(self.platform)
-
-
-def cell_phone_scenario() -> DeviceScenario:
-    """Videoconferencing phone: symmetric encode+decode + speech + stack."""
-    video_cfg = VideoWorkload(
-        width=176, height=144, frame_rate=15.0, search_algorithm="three_step"
-    )
-    apps = [
-        ApplicationModel("venc", video_encoder_graph(video_cfg), 15.0),
-        ApplicationModel("vdec", video_decoder_graph(video_cfg), 15.0),
-        ApplicationModel("speech", speech_taskgraph(), 50.0),
-        network_application(rate_hz=15.0),
+def _cameras() -> list[ApplicationModel]:
+    """Four QCIF camera encodes: both surveillance hubs' front end."""
+    return [
+        _codec(f"cam{i}_enc", video_encoder_graph, _QCIF15) for i in range(4)
     ]
-    return DeviceScenario(
-        name="cell_phone",
-        application=merge_applications(apps, "cell_phone_app"),
-        platform=cell_phone_soc(),
-        description="symmetric videoconferencing terminal (Section 2)",
-    )
 
 
-def audio_player_scenario() -> DeviceScenario:
-    """Portable player: audio decode + file system + DRM."""
-    audio_cfg = AudioWorkload(bitrate=128_000.0)
-    apps = [
-        ApplicationModel(
-            "adec", audio_decoder_graph(audio_cfg), audio_cfg.frame_rate
-        ),
-        filesystem_application(rate_hz=8.0),
-        drm_application(rate_hz=2.0),
-    ]
-    return DeviceScenario(
-        name="audio_player",
-        application=merge_applications(apps, "audio_player_app"),
-        platform=audio_player_soc(),
-        description="digital audio player with local library (Sections 6-7)",
-    )
-
-
-def set_top_box_scenario() -> DeviceScenario:
-    """Broadcast receiver: asymmetric decode-only + guide + DRM."""
-    video_cfg = VideoWorkload(width=704, height=480, frame_rate=30.0)
-    audio_cfg = AudioWorkload(bitrate=192_000.0)
-    apps = [
-        ApplicationModel("vdec", video_decoder_graph(video_cfg), 30.0),
-        ApplicationModel(
-            "adec", audio_decoder_graph(audio_cfg), audio_cfg.frame_rate
-        ),
-        ui_application(rate_hz=10.0),
-        drm_application(rate_hz=1.0),
-    ]
-    return DeviceScenario(
-        name="set_top_box",
-        application=merge_applications(apps, "set_top_box_app"),
-        platform=set_top_box_soc(),
-        description="asymmetric broadcast receiver (Section 2)",
-    )
-
-
-def dvr_scenario() -> DeviceScenario:
-    """Digital video recorder: encode + decode + content analysis + FS."""
-    enc_cfg = VideoWorkload(
-        width=352, height=240, frame_rate=30.0, search_algorithm="three_step"
-    )
-    apps = [
-        ApplicationModel("venc", video_encoder_graph(enc_cfg), 30.0),
-        ApplicationModel("vdec", video_decoder_graph(enc_cfg), 30.0),
-        analysis_application(rate_hz=30.0),
-        filesystem_application(rate_hz=15.0),
-    ]
-    return DeviceScenario(
-        name="dvr",
-        application=merge_applications(apps, "dvr_app"),
-        platform=dvr_soc(),
-        description="record + playback + commercial analysis (Section 5)",
-    )
-
-
-def camera_scenario() -> DeviceScenario:
-    """Camcorder: real-time full-search encode + servo + file system."""
-    enc_cfg = VideoWorkload(
-        width=352, height=288, frame_rate=30.0, search_algorithm="full",
-        search_range=7,
-    )
-    apps = [
-        ApplicationModel("venc", video_encoder_graph(enc_cfg), 30.0),
-        servo_application(rate_hz=100.0),
-        filesystem_application(rate_hz=30.0),
-    ]
-    return DeviceScenario(
-        name="camera",
-        application=merge_applications(apps, "camera_app"),
-        platform=camera_soc(),
-        description="digital video camera, encode-dominated (Section 2)",
-    )
-
-
-def surveillance_scenario(num_cameras: int = 4) -> DeviceScenario:
-    """Surveillance hub: N concurrent camera encodes + live analysis.
-
-    The streaming-era version of the camcorder: every camera is its own
-    encode pipeline, analysis watches the live feeds, and the recorder's
-    file system takes the aggregate.  This is the device the runtime's
-    segment cache helps most — co-located cameras often stare at the same
-    unchanging scene.
-    """
-    if num_cameras < 1:
-        raise ValueError("a surveillance hub needs at least one camera")
-    cam_cfg = VideoWorkload(
-        width=176, height=144, frame_rate=15.0, search_algorithm="three_step"
-    )
-    apps = [
-        ApplicationModel(
-            f"cam{i}_enc", video_encoder_graph(cam_cfg), cam_cfg.frame_rate
-        )
-        for i in range(num_cameras)
-    ]
-    apps.append(analysis_application(rate_hz=15.0))
-    apps.append(filesystem_application(rate_hz=15.0))
-    return DeviceScenario(
-        name="surveillance",
-        application=merge_applications(apps, "surveillance_app"),
-        platform=surveillance_hub_soc(),
-        description=f"{num_cameras}-camera surveillance hub with analysis",
-    )
-
-
-def video_wall_scenario(num_tiles: int = 4) -> DeviceScenario:
-    """Video wall: many synchronized decode tiles plus UI overlay."""
-    if num_tiles < 1:
-        raise ValueError("a video wall needs at least one tile")
-    tile_cfg = VideoWorkload(width=352, height=288, frame_rate=30.0)
-    apps = [
-        ApplicationModel(
-            f"tile{i}_dec", video_decoder_graph(tile_cfg), tile_cfg.frame_rate
-        )
-        for i in range(num_tiles)
-    ]
-    apps.append(ui_application(rate_hz=10.0))
-    apps.append(network_application(rate_hz=30.0))
-    return DeviceScenario(
-        name="video_wall",
-        application=merge_applications(apps, "video_wall_app"),
-        platform=video_wall_soc(),
-        description=f"{num_tiles}-tile video wall, decode-dominated",
-    )
-
-
-def transcode_farm_scenario(num_channels: int = 2) -> DeviceScenario:
-    """Transcoding-farm blade: decode + re-encode several channels at once.
+def _channels() -> list[ApplicationModel]:
+    """Two decode + re-encode channels: both transcode blades' media side.
 
     The cross-standard recoding duty of Section 3 run as a service: each
     channel is a decode pipeline chained to an encode pipeline at a
     different operating point.
     """
-    if num_channels < 1:
-        raise ValueError("a transcode blade needs at least one channel")
-    in_cfg = VideoWorkload(width=352, height=288, frame_rate=30.0)
     out_cfg = VideoWorkload(
         width=352, height=288, frame_rate=30.0, search_algorithm="diamond"
     )
-    apps = []
-    for i in range(num_channels):
-        apps.append(
-            ApplicationModel(
-                f"ch{i}_dec", video_decoder_graph(in_cfg), in_cfg.frame_rate
-            )
+    return [
+        app
+        for i in range(2)
+        for app in (
+            _codec(f"ch{i}_dec", video_decoder_graph, _CIF30),
+            _codec(f"ch{i}_enc", video_encoder_graph, out_cfg),
         )
-        apps.append(
-            ApplicationModel(
-                f"ch{i}_enc", video_encoder_graph(out_cfg), out_cfg.frame_rate
-            )
-        )
-    apps.append(network_application(rate_hz=30.0))
-    return DeviceScenario(
+    ]
+
+
+@dataclass(frozen=True)
+class Device:
+    """One consumer device: an application mix bound to its SoC (Section 2).
+
+    ``platform`` is the device's :mod:`repro.mpsoc.presets` SoC function
+    and ``mix`` builds its application list; both run on every request, so
+    each ``platform()`` / :meth:`application` is a fresh object, and
+    reading the contract builds no task graph.
+
+    ``scheduler`` and ``rates_hz`` are the device's runtime contract for
+    the streaming engine: the default :mod:`repro.runtime.schedulers`
+    policy it ships with, and the output rate (frames/s) each session
+    *kind* must sustain — the deadlines the virtual-time engine enforces
+    and the admission test checks.  Kinds absent from ``rates_hz`` run
+    best-effort (no deadlines), the paper's Section 8 split between
+    real-time and background computations.
+
+    ``paper`` marks the five devices of the paper's Section 2, the ones
+    experiment C2 maps.
+    """
+
+    name: str
+    description: str
+    platform: Callable[[], Platform]
+    scheduler: str
+    rates_hz: dict[str, float]
+    mix: Callable[[], list[ApplicationModel]]
+    paper: bool = False
+
+    def application(self) -> ApplicationModel:
+        """The device's application mix merged into one mappable graph."""
+        return merge_applications(self.mix(), f"{self.name}_app")
+
+
+#: Every device, by name: the one declaration the mapper (experiment C2,
+#: ``--map``), the runtime contracts and the ``--platform`` presets read.
+#: Contract rates follow each device's product spec (15 Hz conferencing
+#: video, 30 Hz broadcast, ~40 Hz audio frame rates); live-analysis duties
+#: run at preview rate (30 Hz) even where recording runs slower, which is
+#: what makes deadline behaviour under mixed rates interesting
+#: (experiment R4 in DESIGN.md).
+DEVICES = {device.name: device for device in (
+    Device(
+        name="cell_phone",
+        description="symmetric videoconferencing terminal (Section 2)",
+        platform=cell_phone_soc,
+        scheduler="edf",
+        rates_hz={"video_encode": 15.0, "video_decode": 15.0,
+                  "audio_encode": 40.0},
+        # Symmetric encode + decode, speech and the IP stack.
+        mix=lambda: [
+            _codec("venc", video_encoder_graph, _QCIF15),
+            _codec("vdec", video_decoder_graph, _QCIF15),
+            ApplicationModel("speech", speech_taskgraph(), 50.0),
+            network_application(rate_hz=15.0),
+        ],
+        paper=True,
+    ),
+    Device(
+        name="audio_player",
+        description="digital audio player with local library (Sections 6-7)",
+        platform=audio_player_soc,
+        scheduler="roundrobin",
+        rates_hz={"audio_encode": 40.0},
+        mix=lambda: [
+            _codec("adec", audio_decoder_graph,
+                   AudioWorkload(bitrate=128_000.0)),
+            filesystem_application(rate_hz=8.0),
+            drm_application(rate_hz=2.0),
+        ],
+        paper=True,
+    ),
+    Device(
+        name="set_top_box",
+        description="asymmetric broadcast receiver (Section 2)",
+        platform=set_top_box_soc,
+        scheduler="weighted_fair",
+        rates_hz={"video_decode": 30.0},
+        # Decode-only, plus the program guide and DRM.
+        mix=lambda: [
+            _codec("vdec", video_decoder_graph,
+                   VideoWorkload(width=704, height=480, frame_rate=30.0)),
+            _codec("adec", audio_decoder_graph,
+                   AudioWorkload(bitrate=192_000.0)),
+            ui_application(rate_hz=10.0),
+            drm_application(rate_hz=1.0),
+        ],
+        paper=True,
+    ),
+    Device(
+        name="dvr",
+        description="record + playback + commercial analysis (Section 5)",
+        platform=dvr_soc,
+        scheduler="edf",
+        rates_hz={"video_encode": 30.0, "analysis": 30.0},
+        mix=lambda: [
+            _codec("venc", video_encoder_graph, _SIF30),
+            _codec("vdec", video_decoder_graph, _SIF30),
+            analysis_application(rate_hz=30.0),
+            filesystem_application(rate_hz=15.0),
+        ],
+        paper=True,
+    ),
+    Device(
+        name="camera",
+        description="digital video camera, encode-dominated (Section 2)",
+        platform=camera_soc,
+        scheduler="edf",
+        rates_hz={"video_encode": 30.0},
+        # Real-time full-search encode + the drive servo + file system.
+        mix=lambda: [
+            _codec("venc", video_encoder_graph, VideoWorkload(
+                width=352, height=288, frame_rate=30.0,
+                search_algorithm="full", search_range=7,
+            )),
+            servo_application(rate_hz=100.0),
+            filesystem_application(rate_hz=30.0),
+        ],
+        paper=True,
+    ),
+    # The streaming-era devices the runtime (repro.runtime) drives as
+    # multi-session workloads.
+    Device(
+        name="surveillance",
+        description="4-camera surveillance hub with analysis",
+        platform=surveillance_hub_soc,
+        scheduler="edf",
+        rates_hz={"video_encode": 15.0, "analysis": 30.0},
+        # The streaming-era camcorder: every camera is its own encode
+        # pipeline, analysis watches the live feeds, and the recorder's
+        # file system takes the aggregate — the device the runtime's
+        # segment cache helps most, since co-located cameras often stare
+        # at the same unchanging scene.
+        mix=lambda: _cameras() + [
+            analysis_application(rate_hz=15.0),
+            filesystem_application(rate_hz=15.0),
+        ],
+    ),
+    Device(
+        name="video_wall",
+        description="4-tile video wall, decode-dominated",
+        platform=video_wall_soc,
+        scheduler="weighted_fair",
+        rates_hz={"video_decode": 30.0},
+        mix=lambda: [
+            _codec(f"tile{i}_dec", video_decoder_graph, _CIF30)
+            for i in range(4)
+        ] + [ui_application(rate_hz=10.0), network_application(rate_hz=30.0)],
+    ),
+    Device(
         name="transcode_farm",
-        application=merge_applications(apps, "transcode_farm_app"),
-        platform=transcode_farm_soc(),
-        description=f"{num_channels}-channel live transcoding blade",
-    )
-
-
-def podcast_farm_scenario(num_workers: int = 4) -> DeviceScenario:
-    """Podcast transcoding blade: N concurrent Figure-2 encode chains.
-
-    The audio analogue of the video transcode farm — every worker is a
-    full subband encode pipeline (filterbank + psychoacoustics + packer),
-    plus the file system that feeds the episode library and the network
-    stack that ships it.  This is the device the batched audio pipeline
-    (experiment R7) and the segment cache help most: popular episodes
-    recur across workers.
-    """
-    if num_workers < 1:
-        raise ValueError("a podcast farm needs at least one worker")
-    audio_cfg = AudioWorkload(sample_rate=16000.0, bitrate=96_000.0,
-                              fft_size=128)
-    apps = [
-        ApplicationModel(
-            f"worker{i}_enc", audio_encoder_graph(audio_cfg),
-            audio_cfg.frame_rate,
-        )
-        for i in range(num_workers)
-    ]
-    apps.append(filesystem_application(rate_hz=8.0))
-    apps.append(network_application(rate_hz=20.0))
-    return DeviceScenario(
+        description="2-channel live transcoding blade",
+        platform=transcode_farm_soc,
+        scheduler="platform",
+        rates_hz={"transcode": 30.0},
+        mix=lambda: _channels() + [network_application(rate_hz=30.0)],
+    ),
+    # The audio-heavy streaming devices (experiment R7).  Contract rates
+    # follow the spec-sheet convention above (round numbers near the
+    # native Figure-2 cadence): the farm's 16 kHz episodes frame at
+    # ~41.7 Hz, contracted at 40; the bridge's scenario sets each room's
+    # exact native rate itself, 20 Hz is the narrowband (8 kHz, ~20.8 Hz)
+    # floor for sessions added without one.
+    Device(
         name="podcast_farm",
-        application=merge_applications(apps, "podcast_farm_app"),
-        platform=podcast_farm_soc(),
-        description=f"{num_workers}-worker podcast transcoding blade",
-    )
-
-
-def conference_bridge_scenario(num_rooms: int = 4) -> DeviceScenario:
-    """Voice-conference bridge: narrowband speech legs + the IP stack.
-
-    Each room is a Figure-2 encode chain at telephone rate; the bridge
-    mixes rooms running at different audio frame rates, which is what
-    makes its deadline behaviour under EDF interesting (the runtime's
-    conference_bridge scenario).
-    """
-    if num_rooms < 1:
-        raise ValueError("a conference bridge needs at least one room")
-    speech_cfg = AudioWorkload(sample_rate=8000.0, bitrate=24_000.0,
-                               fft_size=64)
-    apps = [
-        ApplicationModel(
-            f"room{i}_enc", audio_encoder_graph(speech_cfg),
-            speech_cfg.frame_rate,
-        )
-        for i in range(num_rooms)
-    ]
-    apps.append(network_application(rate_hz=50.0))
-    return DeviceScenario(
+        description="4-worker podcast transcoding blade",
+        platform=podcast_farm_soc,
+        scheduler="weighted_fair",
+        rates_hz={"audio_encode": 40.0},
+        # The audio analogue of the video transcode farm: every worker is
+        # a full subband encode pipeline (filterbank + psychoacoustics +
+        # packer), plus the file system feeding the episode library and
+        # the network stack that ships it.
+        mix=lambda: [
+            _codec(f"worker{i}_enc", audio_encoder_graph, AudioWorkload(
+                sample_rate=16000.0, bitrate=96_000.0, fft_size=128
+            ))
+            for i in range(4)
+        ] + [filesystem_application(rate_hz=8.0),
+             network_application(rate_hz=20.0)],
+    ),
+    Device(
         name="conference_bridge",
-        application=merge_applications(apps, "conference_bridge_app"),
-        platform=conference_bridge_soc(),
-        description=f"{num_rooms}-room voice-conference bridge",
-    )
-
-
-def wireless_surveillance_scenario(num_cameras: int = 4) -> DeviceScenario:
-    """Wireless surveillance hub: camera encodes whose uplinks are radio.
-
-    The surveillance hub of Section 2 moved off the wire (Section 7's
-    "network devices"): every camera's coded stream is packetized,
-    parity-protected, and shipped over a bursty channel, so a network
-    application joins the mix at packet rate — the device the runtime's
-    ``wireless_surveillance`` scenario drives end to end over
-    :mod:`repro.net`.
-    """
-    if num_cameras < 1:
-        raise ValueError("a surveillance hub needs at least one camera")
-    cam_cfg = VideoWorkload(
-        width=176, height=144, frame_rate=15.0, search_algorithm="three_step"
-    )
-    apps = [
-        ApplicationModel(
-            f"cam{i}_enc", video_encoder_graph(cam_cfg), cam_cfg.frame_rate
-        )
-        for i in range(num_cameras)
-    ]
-    apps.append(analysis_application(rate_hz=15.0))
-    # Per-packet work scales with the uplinks: checksums, parity, retries.
-    apps.append(network_application(rate_hz=50.0))
-    return DeviceScenario(
+        description="4-room voice-conference bridge",
+        platform=conference_bridge_soc,
+        scheduler="edf",
+        rates_hz={"audio_encode": 20.0},
+        # Each room is a Figure-2 encode chain at telephone rate.
+        mix=lambda: [
+            _codec(f"room{i}_enc", audio_encoder_graph, AudioWorkload(
+                sample_rate=8000.0, bitrate=24_000.0, fft_size=64
+            ))
+            for i in range(4)
+        ] + [network_application(rate_hz=50.0)],
+    ),
+    # The lossy-delivery devices (experiment R8): the wired twins' media
+    # mixes and rates — the channel changes what arrives, never what the
+    # contract owes — under EDF, since delivery cost eats slack and
+    # deadline-blind sweeps start missing first.  Their network stacks
+    # run at packet rate: checksums, parity, reassembly, concealment.
+    Device(
         name="wireless_surveillance",
-        application=merge_applications(apps, "wireless_surveillance_app"),
-        platform=wireless_surveillance_soc(),
-        description=f"{num_cameras}-camera hub with lossy radio uplinks",
-    )
-
-
-def lossy_wan_transcode_scenario(num_channels: int = 2) -> DeviceScenario:
-    """Transcode blade whose source clips arrive over a congested WAN.
-
-    The Section 3 recoding farm as a true network device: decode +
-    re-encode per channel, plus an IP stack sized for the inbound
-    packet rate (reassembly, FEC recovery, concealment bookkeeping) —
-    the runtime's ``lossy_wan_transcode`` scenario feeds it damaged
-    inputs through :mod:`repro.net`.
-    """
-    if num_channels < 1:
-        raise ValueError("a transcode blade needs at least one channel")
-    in_cfg = VideoWorkload(width=352, height=288, frame_rate=30.0)
-    out_cfg = VideoWorkload(
-        width=352, height=288, frame_rate=30.0, search_algorithm="diamond"
-    )
-    apps = []
-    for i in range(num_channels):
-        apps.append(
-            ApplicationModel(
-                f"ch{i}_dec", video_decoder_graph(in_cfg), in_cfg.frame_rate
-            )
-        )
-        apps.append(
-            ApplicationModel(
-                f"ch{i}_enc", video_encoder_graph(out_cfg), out_cfg.frame_rate
-            )
-        )
-    apps.append(network_application(rate_hz=100.0))
-    return DeviceScenario(
+        description="4-camera hub with lossy radio uplinks",
+        platform=wireless_surveillance_soc,
+        scheduler="edf",
+        rates_hz={"video_encode": 15.0, "analysis": 30.0},
+        mix=lambda: _cameras() + [
+            analysis_application(rate_hz=15.0),
+            network_application(rate_hz=50.0),
+        ],
+    ),
+    Device(
         name="lossy_wan_transcode",
-        application=merge_applications(apps, "lossy_wan_transcode_app"),
-        platform=lossy_wan_transcode_soc(),
-        description=f"{num_channels}-channel WAN-fed transcoding blade",
-    )
-
-
-#: The paper's five consumer devices (Section 2) — experiment C2 maps
-#: exactly these, so this dict must stay the paper's list.
-ALL_SCENARIOS = {
-    "cell_phone": cell_phone_scenario,
-    "audio_player": audio_player_scenario,
-    "set_top_box": set_top_box_scenario,
-    "dvr": dvr_scenario,
-    "camera": camera_scenario,
-}
-
-#: Streaming-era devices added by the runtime subsystem; mapped by the
-#: runtime CLI (``python -m repro.runtime.run``) and its tests.
-EXTENDED_SCENARIOS = {
-    "surveillance": surveillance_scenario,
-    "video_wall": video_wall_scenario,
-    "transcode_farm": transcode_farm_scenario,
-    "podcast_farm": podcast_farm_scenario,
-    "conference_bridge": conference_bridge_scenario,
-    "wireless_surveillance": wireless_surveillance_scenario,
-    "lossy_wan_transcode": lossy_wan_transcode_scenario,
-}
+        description="2-channel WAN-fed transcoding blade",
+        platform=lossy_wan_transcode_soc,
+        scheduler="edf",
+        rates_hz={"transcode": 30.0},
+        mix=lambda: _channels() + [network_application(rate_hz=100.0)],
+    ),
+)}

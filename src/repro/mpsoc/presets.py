@@ -1,4 +1,8 @@
-"""Catalogue of PE types and platform presets for the paper's five devices.
+"""Catalogue of PE types and the SoC presets of the consumer devices.
+
+Each ``*_soc()`` function declares one device's hardware; the device
+table (:data:`repro.core.scenarios.DEVICES`) binds it to the device's
+application mix and runtime contract.
 
 Numbers are stylized 2005-era figures (hundreds of MHz embedded cores,
 milliwatt budgets) — the benches compare *shapes*, not absolute silicon.
@@ -337,19 +341,3 @@ def lossy_wan_transcode_soc() -> Platform:
 def symmetric_multicore(count: int = 4, ptype: ProcessorType = DSP) -> Platform:
     """Homogeneous baseline for mapper comparisons."""
     return homogeneous(f"smp{count}x{ptype.name}", ptype, count)
-
-
-DEVICE_PRESETS = {
-    "cell_phone": cell_phone_soc,
-    "audio_player": audio_player_soc,
-    "set_top_box": set_top_box_soc,
-    "dvr": dvr_soc,
-    "camera": camera_soc,
-    "surveillance_hub": surveillance_hub_soc,
-    "video_wall": video_wall_soc,
-    "transcode_farm": transcode_farm_soc,
-    "podcast_farm": podcast_farm_soc,
-    "conference_bridge": conference_bridge_soc,
-    "wireless_surveillance": wireless_surveillance_soc,
-    "lossy_wan_transcode": lossy_wan_transcode_soc,
-}

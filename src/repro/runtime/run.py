@@ -15,8 +15,9 @@
 ``--set key=value`` overrides a scenario parameter (ints stay ints);
 ``--no-cache`` disables the shared segment cache to expose its benefit;
 ``--scheduler`` picks the virtual-time policy (default: the device's
-contract, see :data:`repro.core.scenarios.RUNTIME_CONTRACTS`);
-``--platform`` names an SoC preset for the ``platform`` scheduler;
+contract in its :data:`repro.core.DEVICES` entry);
+``--platform`` names the device whose SoC preset the ``platform``
+scheduler prices (e.g. ``--platform surveillance``);
 ``--admission`` controls the start-up schedulability gate;
 ``--json`` emits the engine report as machine-readable JSON;
 ``--map`` additionally binds the scenario's device task graphs onto the
@@ -51,10 +52,9 @@ import argparse
 import json
 import sys
 
-from ..core import ALL_SCENARIOS, EXTENDED_SCENARIOS, MultimediaSystem
+from ..core import DEVICES, MultimediaSystem
 from ..core.metrics import render_table
 from ..mapping import evaluate_mapping, run_mapper, sustainable_streams
-from ..mpsoc.presets import DEVICE_PRESETS
 from ..net.channel import CHANNEL_KINDS
 from ..net.delivery import attach_delivery
 from ..obs import TraceRecorder, write_chrome_trace, write_jsonl
@@ -103,10 +103,7 @@ def list_scenarios() -> str:
 
 def _device_platform(scenario: Scenario):
     """The scenario's device SoC preset, or ``None`` if deviceless."""
-    if not scenario.device:
-        return None
-    factories = {**ALL_SCENARIOS, **EXTENDED_SCENARIOS}
-    return factories[scenario.device]().platform
+    return DEVICES[scenario.device].platform() if scenario.device else None
 
 
 def run_scenario(
@@ -158,11 +155,11 @@ def run_scenario(
         )
     if platform_name is not None:
         try:
-            platform = DEVICE_PRESETS[platform_name]()
+            platform = DEVICES[platform_name].platform()
         except KeyError:
             raise ValueError(
-                f"unknown platform preset {platform_name!r}; "
-                f"available: {sorted(DEVICE_PRESETS)}"
+                f"unknown platform device {platform_name!r}; "
+                f"available: {sorted(DEVICES)}"
             ) from None
     elif scheduler_name == "platform":
         platform = _device_platform(scenario)
@@ -197,8 +194,8 @@ def run_scenario(
             # Fold the mapping results into the same JSON object so
             # --json stays a single machine-readable document.
             payload["map"] = None if map_data is None else {
-                "device": map_data["device"].name,
-                "platform": map_data["device"].platform.name,
+                "device": map_data["device"],
+                "platform": map_data["system_report"].platform_name,
                 "device_period_s": map_data["system_report"]
                 .evaluation.period_s,
                 "sessions": [
@@ -232,7 +229,7 @@ def run_scenario(
                 ],
                 title=(
                     f"measured session profiles mapped on "
-                    f"{map_data['device'].platform.name}"
+                    f"{map_data['system_report'].platform_name}"
                 ),
             ), file=out)
     elif do_map:
@@ -242,18 +239,16 @@ def run_scenario(
 
 def _map_measured_sessions(scenario: Scenario, sessions):
     """Map the device graphs and each measured session profile (--map)."""
-    factories = {**ALL_SCENARIOS, **EXTENDED_SCENARIOS}
-    device = factories[scenario.device]()
-    system = MultimediaSystem(
-        device.name, [device.application], device.platform
-    )
+    device = DEVICES[scenario.device]
+    platform = device.platform()
+    system = MultimediaSystem(device.name, [device.application()], platform)
     system_report = system.map(algorithm="greedy", iterations=3)
     rows = []
     for session in sessions:
         if not session.frames_done or not session.ops_per_frame():
             continue
         app = measured_application(session, rate_hz=15.0)
-        problem = app.problem(device.platform)
+        problem = app.problem(platform)
         result = run_mapper(problem, "greedy")
         ev = evaluate_mapping(problem, result.mapping, iterations=3)
         rows.append((
@@ -262,7 +257,8 @@ def _map_measured_sessions(scenario: Scenario, sessions):
             ev.period_s,
             sustainable_streams(ev, 15.0),
         ))
-    return {"device": device, "system_report": system_report, "rows": rows}
+    return {"device": device.name, "system_report": system_report,
+            "rows": rows}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,10 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         "--platform",
         dest="platform_name",
         default=None,
-        metavar="PRESET",
-        help="SoC preset for the 'platform' scheduler "
-        f"(one of {', '.join(sorted(DEVICE_PRESETS))}; "
-        "default: the scenario's device SoC)",
+        metavar="DEVICE",
+        help="device whose SoC preset the 'platform' scheduler prices "
+        f"(one of {', '.join(sorted(DEVICES))}; "
+        "default: the scenario's own device)",
     )
     parser.add_argument(
         "--admission",

@@ -11,10 +11,11 @@ from one entry point::
     python -m repro.runtime.run surveillance --set cameras=8
 
 Adding a scenario is one decorated function returning sessions — see
-``docs/scenarios.md`` for the 20-line recipe.  Scenarios that correspond
-to a mappable device name their :class:`~repro.core.DeviceScenario` via
-``device=...`` so the CLI's ``--map`` flag can bind the device's task
-graphs onto its SoC preset and report sustainable stream counts.
+``docs/scenarios.md`` for the 20-line recipe.  Scenarios that run on a
+device name its :data:`~repro.core.DEVICES` entry via ``device=...``:
+the entry supplies the default scheduler and per-kind rates, and the
+CLI's ``--map`` flag binds the device's task graphs onto its SoC preset
+and reports sustainable stream counts.
 
 Everything is seeded and synthetic (no media files), so two builds with
 the same parameters produce bit-identical workloads — the property the
@@ -29,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..audio.encoder import AudioEncoderConfig
+from ..core.scenarios import DEVICES
 from ..net.delivery import attach_delivery
 from ..video.encoder import EncoderConfig, VideoEncoder
 from ..workloads.audio_gen import music_like, speech_like
@@ -55,22 +57,22 @@ class Scenario:
     description: str
     build: Callable[..., list[MediaSession]]
     defaults: dict = field(default_factory=dict)
-    #: Key into ``ALL_SCENARIOS``/``EXTENDED_SCENARIOS`` for ``--map``.
+    #: Key into :data:`~repro.core.DEVICES`: the contract and ``--map``.
     device: str | None = None
 
-    @property
-    def contract(self):
-        """The device's runtime contract (rates + default scheduler), or
-        ``None`` for deviceless scenarios (which then run best-effort
-        under the legacy round-robin)."""
-        from ..core.scenarios import RUNTIME_CONTRACTS
-
-        return RUNTIME_CONTRACTS.get(self.device) if self.device else None
+    def __post_init__(self) -> None:
+        # A mistyped device would otherwise run silently best-effort.
+        if self.device is not None and self.device not in DEVICES:
+            raise ValueError(
+                f"scenario {self.name!r} names unknown device "
+                f"{self.device!r}; known devices: {sorted(DEVICES)}"
+            )
 
     @property
     def default_scheduler(self) -> str:
-        contract = self.contract
-        return contract.scheduler if contract else "roundrobin"
+        """The device's scheduler; deviceless scenarios run best-effort
+        under the legacy round-robin."""
+        return DEVICES[self.device].scheduler if self.device else "roundrobin"
 
     def sessions(self, **overrides) -> list[MediaSession]:
         params = dict(self.defaults)
@@ -82,11 +84,11 @@ class Scenario:
             )
         params.update(overrides)
         sessions = self.build(**params)
-        contract = self.contract
-        if contract is not None:
+        if self.device:
+            rates_hz = DEVICES[self.device].rates_hz
             for session in sessions:
                 if session.rate_hz is None:
-                    session.rate_hz = contract.rate_for(session.kind)
+                    session.rate_hz = rates_hz.get(session.kind)
         return sessions
 
 
@@ -266,23 +268,14 @@ def _dvr(frames: int, seed: int) -> list[MediaSession]:
     ]
 
 
-@REGISTRY.register(
-    "surveillance",
-    "N cameras into one hub; co-located cameras repeat scenes, so the "
-    "segment cache collapses duplicate encodes",
-    device="surveillance",
-    cameras=6,
-    unique_feeds=2,
-    frames=16,
-    seed=0,
-)
-def _surveillance(
-    cameras: int, unique_feeds: int, frames: int, seed: int
+def _camera_sessions(
+    cameras: int, unique_feeds: int, frames: int, seed: int, search: str
 ) -> list[MediaSession]:
+    """N camera encodes over a few shared feeds, plus live analysis."""
     if cameras < 1 or unique_feeds < 1:
         raise ValueError("need at least one camera and one feed")
     unique_feeds = min(unique_feeds, cameras)
-    cfg = EncoderConfig(search_algorithm="full", gop_size=8, quality=55)
+    cfg = EncoderConfig(search_algorithm=search, gop_size=8, quality=55)
     # A quiet site: most cameras stare at one of a few static-ish scenes.
     feeds = [
         [np.floor(f) for f in static_sequence(
@@ -296,6 +289,22 @@ def _surveillance(
     ]
     sessions.append(AnalysisSession("watch", feeds[0], segment_frames=8))
     return sessions
+
+
+@REGISTRY.register(
+    "surveillance",
+    "N cameras into one hub; co-located cameras repeat scenes, so the "
+    "segment cache collapses duplicate encodes",
+    device="surveillance",
+    cameras=6,
+    unique_feeds=2,
+    frames=16,
+    seed=0,
+)
+def _surveillance(
+    cameras: int, unique_feeds: int, frames: int, seed: int
+) -> list[MediaSession]:
+    return _camera_sessions(cameras, unique_feeds, frames, seed, "full")
 
 
 @REGISTRY.register(
@@ -407,29 +416,15 @@ def _wireless_surveillance(
     cameras: int, unique_feeds: int, frames: int, seed: int,
     loss: float, fec: int, interleave: int,
 ) -> list[MediaSession]:
-    if cameras < 1 or unique_feeds < 1:
-        raise ValueError("need at least one camera and one feed")
     if not 0.0 <= loss < 1.0:
         raise ValueError("loss must be in [0, 1)")
-    unique_feeds = min(unique_feeds, cameras)
-    cfg = EncoderConfig(search_algorithm="three_step", gop_size=8, quality=55)
-    feeds = [
-        [np.floor(f) for f in static_sequence(
-            num_frames=frames, height=48, width=64, seed=seed + i
-        )]
-        for i in range(unique_feeds)
-    ]
-    sessions: list[MediaSession] = [
-        VideoEncodeSession(f"cam{i}", feeds[i % unique_feeds], cfg)
-        for i in range(cameras)
-    ]
-    sessions.append(AnalysisSession("watch", feeds[0], segment_frames=8))
+    sessions = _camera_sessions(
+        cameras, unique_feeds, frames, seed, "three_step"
+    )
     # Radio-sized packets, burst loss, parity + interleaving: the R8
     # defaults, priced by the device's own SoC interconnect (same cost
     # model the CLI --channel path uses).  CLI transport flags override
     # these pipes.
-    from ..mpsoc.presets import wireless_surveillance_soc
-
     attach_delivery(
         sessions,
         kind="gilbert",
@@ -438,7 +433,7 @@ def _wireless_surveillance(
         interleave_depth=interleave,
         mtu=192,
         seed=seed,
-        platform=wireless_surveillance_soc(),
+        platform=DEVICES["wireless_surveillance"].platform(),
     )
     return sessions
 
@@ -458,31 +453,16 @@ def _wireless_surveillance(
 def _lossy_wan_transcode(
     workers: int, clips: int, frames: int, seed: int, loss: float, fec: int
 ) -> list[MediaSession]:
-    if workers < 1 or clips < 1:
-        raise ValueError("need at least one worker and one clip")
     if not 0.0 <= loss < 1.0:
         raise ValueError("loss must be in [0, 1)")
-    in_cfg = EncoderConfig(gop_size=8, quality=80)
-    out_cfg = EncoderConfig(
-        search_algorithm="diamond", gop_size=8, quality=45
-    )
-    library = [
-        precoded_segments(qcif_like(frames, seed + c), in_cfg, in_cfg.gop_size)
-        for c in range(clips)
-    ]
-    sessions: list[MediaSession] = [
-        TranscodeSession(f"worker{i}", library[i % clips], out_cfg)
-        for i in range(workers)
-    ]
+    sessions = _transcode_farm(workers, clips, frames, seed)
     # Every worker pulls its clip over its own WAN path (independent
     # seeded loss traces), so identical clips no longer collapse in the
     # cache once the channel damages them differently.  Costs come from
     # the blade's own SoC interconnect, like the CLI --channel path.
-    from ..mpsoc.presets import lossy_wan_transcode_soc
-
     attach_delivery(
         sessions, kind="iid", loss_rate=loss, fec_group=fec, seed=seed,
-        platform=lossy_wan_transcode_soc(),
+        platform=DEVICES["lossy_wan_transcode"].platform(),
     )
     return sessions
 

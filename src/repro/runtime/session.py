@@ -279,8 +279,8 @@ class MediaSession:
         self.segments_computed = 0
         self.segments_from_cache = 0
         #: Contracted output rate in frames/s; ``None`` means best-effort
-        #: (no release gating, no deadlines).  Scenario rate contracts
-        #: (:data:`repro.core.scenarios.RUNTIME_CONTRACTS`) fill this in.
+        #: (no release gating, no deadlines).  The scenario's device entry
+        #: (``rates_hz`` in :data:`repro.core.DEVICES`) fills this in.
         self.rate_hz = rate_hz
         #: Virtual-time log, one :class:`SegmentTiming` per finished segment.
         self.timings: list[SegmentTiming] = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.audio.psychoacoustic import (
+    QUIET_CEILING_DB,
     PsychoacousticModel,
     bark,
     spreading_db,
@@ -38,6 +39,15 @@ class TestThresholdInQuiet:
 
     def test_rises_at_low_frequencies(self):
         assert threshold_in_quiet(50.0) > threshold_in_quiet(1000.0)
+
+    def test_power_stays_finite_up_to_96_khz_nyquist(self):
+        tq = threshold_in_quiet(np.linspace(20.0, 48000.0, 2048))
+        assert np.all(np.isfinite(10.0 ** (tq / 10.0)))
+        assert tq.max() == QUIET_CEILING_DB
+
+    def test_ceiling_never_reached_at_48_khz_or_below(self):
+        tq = threshold_in_quiet(np.linspace(20.0, 24000.0, 2048))
+        assert tq.max() < 400.0 < QUIET_CEILING_DB
 
 
 class TestSpreading:

@@ -339,6 +339,10 @@ class TestCodecEquivalence:
          lambda: music_like(duration=0.15, seed=5), b""),
         (AudioEncoderConfig(bitrate=24_000),
          lambda: np.zeros(4000), b""),  # silence: all-masked frames
+        # 96 kHz: bins above ~41.6 kHz sit at the threshold-in-quiet cap.
+        (AudioEncoderConfig(bitrate=256_000, sample_rate=96000.0),
+         lambda: music_like(duration=0.05, sample_rate=96000.0, seed=6),
+         b""),
     ]
 
     @pytest.mark.parametrize("case", range(len(CONFIGS)))

@@ -6,7 +6,7 @@ from repro.audio.taskgraph import AudioWorkload
 from repro.audio.taskgraph import encoder_taskgraph as audio_encoder_graph
 from repro.audio.taskgraph import speech_taskgraph
 from repro.core import (
-    ALL_SCENARIOS,
+    DEVICES,
     ApplicationModel,
     MultimediaSystem,
     merge_applications,
@@ -21,6 +21,9 @@ from repro.video.taskgraph import (
     encoder_taskgraph,
     total_ops,
 )
+
+#: The paper's five devices (Section 2), the ones experiment C2 maps.
+PAPER_DEVICES = sorted(name for name, d in DEVICES.items() if d.paper)
 
 
 class TestVideoTaskgraph:
@@ -145,21 +148,35 @@ class TestApplicationModel:
 
 
 class TestScenarios:
-    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+    @pytest.mark.parametrize("name", PAPER_DEVICES)
     def test_scenario_constructible_and_live(self, name):
-        sc = ALL_SCENARIOS[name]()
-        assert is_live(sc.application.graph)
-        assert sc.platform.num_pes >= 2
+        application = DEVICES[name].application()
+        platform = DEVICES[name].platform()
+        assert is_live(application.graph)
+        assert platform.num_pes >= 2
         # Every actor must be runnable somewhere on the preset platform.
-        problem = sc.problem()
-        for actor in sc.application.graph.actors:
+        problem = application.problem(platform)
+        for actor in application.graph.actors:
             assert problem.compatible_pes(actor)
+
+    def test_paper_devices_are_the_five_of_section_2(self):
+        assert PAPER_DEVICES == [
+            "audio_player", "camera", "cell_phone", "dvr", "set_top_box"
+        ]
+
+    def test_each_request_builds_fresh_objects(self):
+        device = DEVICES["surveillance"]
+        assert device.application() is not device.application()
+        assert device.application().graph is not device.application().graph
+        assert device.platform() is not device.platform()
 
     def test_most_scenarios_feasible_with_greedy(self):
         feasible = {}
-        for name, factory in ALL_SCENARIOS.items():
-            sc = factory()
-            system = MultimediaSystem(sc.name, [sc.application], sc.platform)
+        for name in PAPER_DEVICES:
+            device = DEVICES[name]
+            system = MultimediaSystem(
+                name, [device.application()], device.platform()
+            )
             report = system.map(algorithm="greedy", iterations=3)
             feasible[name] = report.all_feasible
         # Four of the five presets host their mixes; the camera preset
@@ -172,8 +189,10 @@ class TestScenarios:
         assert not feasible["camera"]
 
     def test_system_report_summary_renders(self):
-        sc = ALL_SCENARIOS["audio_player"]()
-        system = MultimediaSystem(sc.name, [sc.application], sc.platform)
+        device = DEVICES["audio_player"]
+        system = MultimediaSystem(
+            device.name, [device.application()], device.platform()
+        )
         report = system.map(algorithm="greedy", iterations=3)
         text = report.summary()
         assert "audio_player" in text

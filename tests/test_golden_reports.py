@@ -22,7 +22,7 @@ import sys
 
 import pytest
 
-from repro.core import ALL_SCENARIOS, EXTENDED_SCENARIOS
+from repro.core import DEVICES
 from repro.mpsoc import symmetric_multicore
 from repro.obs import ManualClock, TraceRecorder, dumps_chrome_trace
 from repro.runtime import SCHEDULERS, SegmentCache, StreamEngine, make_scheduler
@@ -49,8 +49,7 @@ SMALL = {
 
 def _platform_for(scenario):
     if scenario.device:
-        factories = {**ALL_SCENARIOS, **EXTENDED_SCENARIOS}
-        return factories[scenario.device]().platform
+        return DEVICES[scenario.device].platform()
     return symmetric_multicore(4)
 
 

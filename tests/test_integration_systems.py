@@ -16,7 +16,7 @@ from repro.audio import (
     snr_db,
 )
 from repro.core import (
-    ALL_SCENARIOS,
+    DEVICES,
     ApplicationModel,
     MultimediaSystem,
     merge_applications,
@@ -111,9 +111,9 @@ class TestDvrRecordAnalyseSkip:
         assert score.f1 > 0.8
 
     def test_dvr_platform_hosts_workload(self):
-        scenario = ALL_SCENARIOS["dvr"]()
+        device = DEVICES["dvr"]
         report = MultimediaSystem(
-            "dvr", [scenario.application], scenario.platform
+            "dvr", [device.application()], device.platform()
         ).map(algorithm="greedy", iterations=3)
         assert report.all_feasible
         assert report.evaluation.memory_feasible
@@ -207,13 +207,15 @@ class TestCodecConsistencyAcrossViews:
 
 
 class TestScenarioMemoryFeasibility:
-    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, d in DEVICES.items() if d.paper)
+    )
     def test_buffer_memory_fits_platform(self, name):
-        scenario = ALL_SCENARIOS[name]()
-        problem = scenario.problem()
+        platform = DEVICES[name].platform()
+        problem = DEVICES[name].application().problem(platform)
         mapping = run_mapper(problem, "greedy").mapping
         ev = evaluate_mapping(problem, mapping, iterations=3)
         assert ev.memory_feasible, (
             f"{name}: buffers need {ev.buffer_bytes / 1024:.0f} KB of "
-            f"{scenario.platform.memory_kb:.0f} KB"
+            f"{platform.memory_kb:.0f} KB"
         )

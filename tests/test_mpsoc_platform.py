@@ -18,7 +18,7 @@ from repro.mpsoc import (
     integrate_energy,
     symmetric_multicore,
 )
-from repro.mpsoc.presets import DEVICE_PRESETS
+from repro.core import DEVICES
 
 
 class TestProcessorType:
@@ -113,8 +113,8 @@ class TestPlatform:
         assert p.cost() > 4 * DSP.cost_units  # plus interconnect + memory
 
     def test_presets_constructible(self):
-        for name, factory in DEVICE_PRESETS.items():
-            platform = factory()
+        for name, device in DEVICES.items():
+            platform = device.platform()
             assert platform.num_pes >= 2, name
             assert platform.cost() > 0
             assert platform.describe()

@@ -748,13 +748,15 @@ class TestLossyCli:
         assert "--channel" in capsys.readouterr().err
 
     def test_builtin_scenarios_price_delivery_with_their_soc(self):
-        from repro.mpsoc.presets import wireless_surveillance_soc
+        from repro.core import DEVICES
 
-        sessions = REGISTRY.get("wireless_surveillance").sessions(
-            cameras=1, frames=8
-        )
-        spec = sessions[0].delivery.cost_model.wire
-        assert spec == wireless_surveillance_soc().interconnect.spec
+        for name, overrides in (
+            ("wireless_surveillance", {"cameras": 1}),
+            ("lossy_wan_transcode", {"workers": 1, "clips": 1}),
+        ):
+            sessions = REGISTRY.get(name).sessions(frames=8, **overrides)
+            spec = sessions[0].delivery.cost_model.wire
+            assert spec == DEVICES[name].platform().interconnect.spec
 
     def test_channel_json_carries_delivery(self, capsys):
         code = cli_main([

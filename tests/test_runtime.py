@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.audio.encoder import AudioDecoder, AudioEncoderConfig
-from repro.core import EXTENDED_SCENARIOS, MultimediaSystem
+from repro.core import DEVICES, MultimediaSystem
 from repro.dataflow.analysis import is_live
 from repro.mapping import evaluate_mapping, run_mapper, sustainable_streams
 from repro.runtime import (
@@ -368,8 +368,7 @@ class TestMeasuredMapping:
         ).run_to_completion()
         app = measured_application(session, rate_hz=15.0)
         assert is_live(app.graph)
-        scenario = EXTENDED_SCENARIOS["surveillance"]()
-        problem = app.problem(scenario.platform)
+        problem = app.problem(DEVICES["surveillance"].platform())
         result = run_mapper(problem, "greedy")
         ev = evaluate_mapping(problem, result.mapping, iterations=3)
         assert ev.period_s > 0
@@ -385,8 +384,7 @@ class TestMeasuredMapping:
             "enc", int_frames(8), EncoderConfig(gop_size=4)
         ).run_to_completion()
         app = measured_application(session, rate_hz=15.0)
-        scenario = EXTENDED_SCENARIOS["surveillance"]()
-        problem = app.problem(scenario.platform)
+        problem = app.problem(DEVICES["surveillance"].platform())
         ev = evaluate_mapping(
             problem, run_mapper(problem, "greedy").mapping, iterations=3
         )
@@ -395,14 +393,17 @@ class TestMeasuredMapping:
 
 
 class TestExtendedScenarios:
-    @pytest.mark.parametrize("name", sorted(EXTENDED_SCENARIOS))
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, d in DEVICES.items() if not d.paper)
+    )
     def test_constructible_live_and_mappable(self, name):
-        sc = EXTENDED_SCENARIOS[name]()
-        assert is_live(sc.application.graph)
-        problem = sc.problem()
-        for actor in sc.application.graph.actors:
+        application = DEVICES[name].application()
+        platform = DEVICES[name].platform()
+        assert is_live(application.graph)
+        problem = application.problem(platform)
+        for actor in application.graph.actors:
             assert problem.compatible_pes(actor)
-        system = MultimediaSystem(sc.name, [sc.application], sc.platform)
+        system = MultimediaSystem(name, [application], platform)
         report = system.map(algorithm="greedy", iterations=2)
         assert report.evaluation.period_s > 0
 

@@ -7,12 +7,13 @@ policy's ordering, the rate contracts, the RTOS admission gate, and the
 platform-mapped cost model get behavioural tests of their own.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from repro.core import EXTENDED_SCENARIOS, RUNTIME_CONTRACTS
+from repro.core import DEVICES
 from repro.mapping import MappedTrace, segment_cost
 from repro.mpsoc import admission_test, symmetric_multicore
 from repro.runtime import (
@@ -30,7 +31,7 @@ from repro.runtime import (
     stage_application,
 )
 from repro.runtime.run import main as cli_main
-from repro.runtime.scenarios import REGISTRY
+from repro.runtime.scenarios import REGISTRY, ScenarioRegistry
 
 #: Smallest viable parameterisation per scenario, shared by the
 #: determinism sweep (keeps 8 scenarios x 4 schedulers affordable).
@@ -88,10 +89,7 @@ class StubSession(MediaSession):
 
 def _platform_for(scenario):
     if scenario.device:
-        from repro.core import ALL_SCENARIOS
-
-        factories = {**ALL_SCENARIOS, **EXTENDED_SCENARIOS}
-        return factories[scenario.device]().platform
+        return DEVICES[scenario.device].platform()
     return symmetric_multicore(4)
 
 
@@ -467,9 +465,39 @@ class TestRateContracts:
         assert REGISTRY.get("dvr").default_scheduler == "edf"
         assert REGISTRY.get("video_wall").default_scheduler == "weighted_fair"
         assert REGISTRY.get("transcode_farm").default_scheduler == "platform"
-        assert set(RUNTIME_CONTRACTS) >= {
-            sc.device for sc in REGISTRY if sc.device
-        }
+        for sc in REGISTRY:
+            if sc.device:
+                assert sc.default_scheduler == DEVICES[sc.device].scheduler
+
+    def test_contract_read_builds_no_task_graph(self, monkeypatch):
+        import repro.core.scenarios as devices_module
+
+        def no_graphs(*args, **kwargs):
+            raise AssertionError("a contract read built task graphs")
+
+        for name in ("_codec", "_support_graph", "merge_applications"):
+            monkeypatch.setattr(devices_module, name, no_graphs)
+        with pytest.raises(AssertionError):
+            DEVICES["surveillance"].application()
+        assert [sc.default_scheduler for sc in REGISTRY]
+        sessions = REGISTRY.get("surveillance").sessions(cameras=1, frames=4)
+        assert {s.rate_hz for s in sessions} == {15.0, 30.0}
+
+    def test_unknown_device_rejected_at_registration(self):
+        registry = ScenarioRegistry()
+        with pytest.raises(
+            ValueError, match="'survelliance'; known devices: .*'surveillance'"
+        ):
+            registry.register(
+                "typo", "a mistyped device name", device="survelliance"
+            )(lambda: [])
+        assert len(registry) == 0
+
+    def test_unknown_device_rejected_on_replace(self):
+        with pytest.raises(ValueError, match="unknown device"):
+            dataclasses.replace(
+                REGISTRY.get("surveillance"), device="survelliance"
+            )
 
 
 class TestCodedSegmentFrames:
