@@ -9,7 +9,11 @@ pipeline and speedup.  Since the batched decode path landed (R9: fused
 event-table entropy decode over :meth:`BitReader.bit_window` peeks plus
 whole-plane reconstruction), decode carries the same >= 5x floor — the
 receiver side is the paper's volume product, so its throughput is gated,
-not merely reported.
+not merely reported.  The two step-pattern motion searches (three-step
+and diamond) run every block of a P-frame in lockstep, one NumPy pass per
+ring; on the CIF frame against a shifted copy they must return the
+reference loop's motion field and evaluation count, at the same >= 5x
+floor.
 
 Besides the printed table, the measurements land in
 ``BENCH_block_pipeline.json`` (CI uploads it as a workflow artifact) so the
@@ -26,6 +30,12 @@ from repro.core import render_table
 from repro.image.jpeg import JpegLikeCodec
 from repro.video.decoder import VideoDecoder
 from repro.video.encoder import EncoderConfig, VideoEncoder
+from repro.video.motion import (
+    _diamond_schedule,
+    _pattern_search,
+    _pattern_search_reference,
+    _three_step_schedule,
+)
 from repro.workloads.video_gen import moving_blocks_sequence
 
 #: Where the JSON artifact lands (CI uploads ``BENCH_*.json`` from the
@@ -118,10 +128,29 @@ def test_batched_block_pipeline_5x_on_cif_intra(benchmark, show):
     jref_s, jref = best_of(lambda: JpegLikeCodec(batched=False).encode(image, 75))
     jpeg_speedup = jref_s / jfast_s
 
+    # P-frame motion search: the CIF frame against a shifted copy, the
+    # encoder's default block size and range.
+    reference = cif_frame()
+    current = np.roll(reference, (2, -3), axis=(0, 1))
+    searches = {}
+    for label, schedule in (
+        ("P-frame diamond search", _diamond_schedule),
+        ("P-frame three-step search", _three_step_schedule),
+    ):
+        searches[label] = paired_best_of(
+            lambda: _pattern_search_reference(
+                current, reference, 8, 7, schedule
+            ),
+            lambda: _pattern_search(current, reference, 8, 7, schedule),
+        )
+
     rows = [
         ["intra encode", ref_s * 1e3, fast_s * 1e3, encode_speedup],
         ["decode", dref_s * 1e3, dfast_s * 1e3, decode_speedup],
         ["jpeg encode", jref_s * 1e3, jfast_s * 1e3, jpeg_speedup],
+    ] + [
+        [label, sref_s * 1e3, sfast_s * 1e3, sref_s / sfast_s]
+        for label, (sref_s, sfast_s, _, _) in searches.items()
     ]
     show(render_table(
         ["path", "reference (ms)", "batched (ms)", "speedup"],
@@ -131,7 +160,7 @@ def test_batched_block_pipeline_5x_on_cif_intra(benchmark, show):
 
     payload = {
         "benchmark": "block_pipeline",
-        "frame": "352x288 intra, quality 75",
+        "frame": "352x288 intra, quality 75; P-frame search 8x8, range 7",
         "paths": {
             name: {
                 "reference_ms": ref_ms,
@@ -155,3 +184,10 @@ def test_batched_block_pipeline_5x_on_cif_intra(benchmark, show):
     assert encode_speedup >= 5.0, f"only {encode_speedup:.1f}x"
     assert decode_speedup >= 5.0, f"decode only {decode_speedup:.1f}x"
     assert jpeg_speedup >= 3.0, f"only {jpeg_speedup:.1f}x"
+    for label, (sref_s, sfast_s, (ref_field, ref_evals), (field, evals)) in (
+        searches.items()
+    ):
+        assert evals == ref_evals, label
+        assert np.array_equal(field.dy, ref_field.dy), label
+        assert np.array_equal(field.dx, ref_field.dx), label
+        assert sref_s / sfast_s >= 5.0, f"{label} only {sref_s / sfast_s:.1f}x"

@@ -11,12 +11,18 @@ Three block-matching searches are provided, spanning the compute/quality
 trade-off that drives MPSoC provisioning (experiment C4 in DESIGN.md):
 
 * :func:`full_search` — exhaustive over a +/- R window; the quality anchor
-  and by far the heaviest stage of the encoder.  The default implementation
-  evaluates whole displacement planes with NumPy; the block-at-a-time loop
-  it replaced is kept as :func:`full_search_reference` and the two are
-  asserted equivalent in tests and in ``benchmarks/bench_runtime_streams.py``.
+  and by far the heaviest search.
 * :func:`three_step_search` — the classic logarithmic refinement.
 * :func:`diamond_search` — small/large diamond pattern search, the cheapest.
+
+All three are batched over the whole frame with NumPy: the full search
+scores one displacement for every block per pass, and the two step-pattern
+searches advance every block one ring per pass in lockstep.  Each loop they
+replaced is kept as a ``_reference`` oracle (:func:`full_search_reference`,
+:func:`_pattern_search_reference`), and every batched search returns the
+same motion field and evaluation count as its oracle on any float frames
+(see :func:`_block_views`), which the equivalence harness and the block
+pipeline benchmark assert.
 
 All return a :class:`MotionField` plus the number of SAD evaluations spent,
 which the task-graph workload models consume.
@@ -74,6 +80,38 @@ def _candidate(ref: np.ndarray, y: int, x: int, n: int) -> np.ndarray | None:
     return ref[y:y + n, x:x + n]
 
 
+def _block_views(
+    current: np.ndarray, reference: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``current`` as ``(by, bx, n, n)`` blocks plus every ``n x n`` window
+    of ``reference`` (a ``sliding_window_view``, no copy).
+
+    Both sides come in the type ``block - candidate`` computes in, so a
+    difference can overwrite its gathered candidates in place.  Scoring
+    a candidate as ``abs(block - window)`` summed over one contiguous
+    ``n*n`` row repeats :func:`sad`'s summation order exactly, so the
+    batched costs equal the loop's on any float content, not only on
+    integer-valued frames.
+    """
+    by, bx = _block_grid(current, n)
+    dtype = np.result_type(current, reference)
+    blocks = (
+        current.astype(dtype, copy=False)
+        .reshape(by, n, bx, n).swapaxes(1, 2).copy()
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(
+        reference.astype(dtype, copy=False), (n, n)
+    )
+    return blocks, windows
+
+
+def _row_sad(diff: np.ndarray) -> np.ndarray:
+    """Sum ``|diff|`` over each trailing ``n x n`` block as one contiguous
+    row, in :func:`sad`'s order.  ``diff`` is overwritten in place."""
+    np.abs(diff, out=diff)
+    return diff.reshape(diff.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def full_search(
     current: np.ndarray,
     reference: np.ndarray,
@@ -84,22 +122,24 @@ def full_search(
 
     Instead of visiting blocks one at a time (see
     :func:`full_search_reference`), each candidate displacement ``(oy, ox)``
-    is scored for *every* block at once: one shifted absolute-difference
-    plane plus a block-wise reshape-sum.  The Python-level work drops from
-    ``blocks * (2R+1)^2`` SAD calls to ``(2R+1)^2`` plane passes.
+    is scored for *every* block at once: one strided slice of the
+    reference's windows against the whole block tensor.  The Python-level
+    work drops from ``blocks * (2R+1)^2`` SAD calls to ``(2R+1)^2`` passes.
 
     Selection reproduces the reference exactly: displacements are scored in
     the same row-major ``(oy, ox)`` order, the first displacement achieving
     the minimum wins, and an exact tie with the zero vector prefers the
     zero vector (cheaper to encode).  Evaluation counts are identical too —
-    out-of-frame candidates are never scored.  For integer-valued frames
-    (any real 8-bit video) the SAD sums are exact in either implementation,
-    so the motion fields agree bit-for-bit.
+    out-of-frame candidates are never scored.  Each SAD is summed in
+    :func:`sad`'s own order (see :func:`_block_views`), so the costs are
+    bit-identical on any float frames — including the non-integer
+    reconstructions the encoder searches — and so are the motion fields.
 
     Returns the motion field and the number of SAD evaluations performed.
     """
     n = block_size
-    by, bx = _block_grid(current, n)
+    blocks, windows = _block_views(current, reference, n)
+    by, bx = blocks.shape[:2]
     h, w = reference.shape
     displacements = [
         (oy, ox)
@@ -116,17 +156,15 @@ def full_search(
         j_hi = min(bx - 1, (w - n - ox) // n)
         if i_lo > i_hi or j_lo > j_hi:
             continue
-        ys, ye = i_lo * n, (i_hi + 1) * n
-        xs, xe = j_lo * n, (j_hi + 1) * n
-        diff = np.abs(
-            current[ys:ye, xs:xe]
-            - reference[ys + oy:ye + oy, xs + ox:xe + ox]
+        rows, cols = slice(i_lo, i_hi + 1), slice(j_lo, j_hi + 1)
+        costs[d, rows, cols] = _row_sad(
+            blocks[rows, cols]
+            - windows[
+                i_lo * n + oy:i_hi * n + oy + 1:n,
+                j_lo * n + ox:j_hi * n + ox + 1:n,
+            ]
         )
-        nr, nc = i_hi - i_lo + 1, j_hi - j_lo + 1
-        costs[d, i_lo:i_hi + 1, j_lo:j_hi + 1] = (
-            diff.reshape(nr, n, nc, n).sum(axis=(1, 3))
-        )
-        evaluations += nr * nc
+        evaluations += (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
     best = np.argmin(costs, axis=0)  # first index on ties, like the loop
     zero = search_range * (2 * search_range + 1) + search_range
     minima = np.take_along_axis(costs, best[None], axis=0)[0]
@@ -183,7 +221,85 @@ def _pattern_search(
     search_range: int,
     step_schedule,
 ) -> tuple[MotionField, int]:
-    """Shared driver for the step-pattern searches (TSS, diamond)."""
+    """Shared driver for the step-pattern searches (TSS, diamond), batched.
+
+    Every block of the frame walks the same ring schedule in lockstep:
+    the state is three per-block arrays (centre ``cy``/``cx`` and best
+    cost), and each ring is scored for all still-active blocks as one
+    gathered ``(active, K)`` SAD over the reference's windows (see
+    :func:`_block_views` for why the costs equal :func:`sad`'s).
+
+    The loop's rules (:func:`_pattern_search_reference`) carry over
+    exactly: a block moves to the first minimum of the ring in offset
+    order, and only if it is strictly below the block's current best;
+    candidates beyond ``search_range`` or outside the frame are skipped
+    and not counted.  A repeating ring (the large diamond) keeps only the
+    blocks that moved on its last pass, so the Python-level work is one
+    NumPy pass per ring iteration, not one SAD call per block and
+    candidate.
+    """
+    n = block_size
+    blocks, windows = _block_views(current, reference, n)
+    by, bx = blocks.shape[:2]
+    blocks = blocks.reshape(by * bx, n, n)
+    h, w = reference.shape
+    y0 = np.repeat(np.arange(by) * n, bx)
+    x0 = np.tile(np.arange(bx) * n, by)
+    limit = max(search_range, 0)  # the zero vector is always scored
+    cy = np.zeros(by * bx, dtype=np.int64)
+    cx = np.zeros(by * bx, dtype=np.int64)
+
+    def ring_costs(active, vy, vx):
+        """(len(active), K) SADs at displacements (vy, vx); inf if skipped."""
+        ys, xs = y0[active, None] + vy, x0[active, None] + vx
+        valid = (
+            (np.maximum(np.abs(vy), np.abs(vx)) <= limit)
+            & (ys >= 0) & (ys <= h - n) & (xs >= 0) & (xs <= w - n)
+        )
+        diff = windows[np.where(valid, ys, 0), np.where(valid, xs, 0)]
+        np.subtract(blocks[active, None], diff, out=diff)
+        costs = _row_sad(diff)
+        return np.where(valid, costs, np.inf), int(np.count_nonzero(valid))
+
+    # The zero vector is counted for every block, in frame or not.
+    everyone = np.arange(by * bx)
+    best = ring_costs(everyone, cy[:, None], cx[:, None])[0][:, 0]
+    evaluations = by * bx
+    for offsets in step_schedule(search_range):
+        ring = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+        active = everyone
+        while active.size:
+            vy = cy[active, None] + ring[:, 0]
+            vx = cx[active, None] + ring[:, 1]
+            costs, counted = ring_costs(active, vy, vx)
+            evaluations += counted
+            first = np.argmin(costs, axis=1)  # first minimum in ring order
+            rows = np.arange(active.size)
+            lowest = costs[rows, first]
+            moved = lowest < best[active]
+            active = active[moved]
+            best[active] = lowest[moved]
+            cy[active] = vy[rows[moved], first[moved]]
+            cx[active] = vx[rows[moved], first[moved]]
+            if not offsets_repeat(offsets):
+                break
+    return MotionField(
+        dy=cy.reshape(by, bx), dx=cx.reshape(by, bx), block_size=n
+    ), evaluations
+
+
+def _pattern_search_reference(
+    current: np.ndarray,
+    reference: np.ndarray,
+    block_size: int,
+    search_range: int,
+    step_schedule,
+) -> tuple[MotionField, int]:
+    """Block-at-a-time step-pattern search: the :func:`_pattern_search` oracle.
+
+    Kept per the ``_reference`` convention; the equivalence harness pins
+    the lockstep driver against it, motion field and evaluation count.
+    """
     by, bx = _block_grid(current, block_size)
     dy = np.zeros((by, bx), dtype=np.int32)
     dx = np.zeros((by, bx), dtype=np.int32)
@@ -235,6 +351,29 @@ class _RepeatingPattern(list):
     repeat = True
 
 
+def _three_step_schedule(rng: int):
+    """Halving step from ``ceil(R/2)`` down to 1: 8 neighbours per ring."""
+    step = max(1, (rng + 1) // 2)
+    while step >= 1:
+        yield [
+            (oy * step, ox * step)
+            for oy in (-1, 0, 1)
+            for ox in (-1, 0, 1)
+            if (oy, ox) != (0, 0)
+        ]
+        if step == 1:
+            break
+        step //= 2
+
+
+def _diamond_schedule(rng: int):
+    """Large diamond repeated until stable, then one small diamond."""
+    yield _RepeatingPattern(
+        [(-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    )
+    yield [(-1, 0), (1, 0), (0, -1), (0, 1)]
+
+
 def three_step_search(
     current: np.ndarray,
     reference: np.ndarray,
@@ -242,21 +381,9 @@ def three_step_search(
     search_range: int = 7,
 ) -> tuple[MotionField, int]:
     """Three-step (logarithmic) search: halving step, 8 neighbours + centre."""
-
-    def schedule(rng: int):
-        step = max(1, (rng + 1) // 2)
-        while step >= 1:
-            yield [
-                (oy * step, ox * step)
-                for oy in (-1, 0, 1)
-                for ox in (-1, 0, 1)
-                if (oy, ox) != (0, 0)
-            ]
-            if step == 1:
-                break
-            step //= 2
-
-    return _pattern_search(current, reference, block_size, search_range, schedule)
+    return _pattern_search(
+        current, reference, block_size, search_range, _three_step_schedule
+    )
 
 
 def diamond_search(
@@ -266,14 +393,9 @@ def diamond_search(
     search_range: int = 7,
 ) -> tuple[MotionField, int]:
     """Diamond search: large diamond until stable, then small diamond."""
-
-    def schedule(rng: int):
-        yield _RepeatingPattern(
-            [(-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1)]
-        )
-        yield [(-1, 0), (1, 0), (0, -1), (0, 1)]
-
-    return _pattern_search(current, reference, block_size, search_range, schedule)
+    return _pattern_search(
+        current, reference, block_size, search_range, _diamond_schedule
+    )
 
 
 #: Registry used by the encoder configuration and the benchmarks.

@@ -81,7 +81,10 @@ def frame_pairs(draw, block_size=8, max_blocks=3, max_shift=4):
 
     The current frame is the reference shifted by a random global
     displacement plus sparse noise, so motion search has structure to
-    find; both frames are integer-valued and block-aligned.
+    find; it is integer-valued (source video) and block-aligned.  The
+    reference is either integer-valued too or, like the reconstructions
+    the encoder actually searches, carries a fractional coding error,
+    so SAD sums are not exact and their summation order matters.
     """
     by = draw(st.integers(1, max_blocks))
     bx = draw(st.integers(1, max_blocks))
@@ -95,6 +98,9 @@ def frame_pairs(draw, block_size=8, max_blocks=3, max_shift=4):
     current = np.where(
         noise_at, np.floor(rng.uniform(0.0, 256.0, size=(h, w))), current
     )
+    if draw(st.booleans()):
+        error = rng.normal(0.0, draw(st.sampled_from((0.5, 2.0, 8.0))), (h, w))
+        reference = np.clip(reference + error, 0.0, 255.0)
     return current, reference
 
 

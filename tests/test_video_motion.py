@@ -6,6 +6,10 @@ import pytest
 from repro.video.motion import (
     SEARCH_ALGORITHMS,
     MotionField,
+    _diamond_schedule,
+    _pattern_search,
+    _pattern_search_reference,
+    _three_step_schedule,
     diamond_search,
     full_search,
     full_search_op_count,
@@ -71,9 +75,9 @@ class TestFullSearch:
 class TestVectorizedMatchesReference:
     """The vectorized full search must be indistinguishable from the loop.
 
-    Frames are integer-valued (like any real 8-bit video), which makes the
-    SAD sums exact in both implementations, so the comparison is
-    bit-for-bit: same motion field, same evaluation count.
+    Both sum each SAD in the same order, so the comparison is bit-for-bit
+    on integer-valued and continuous frames alike: same motion field,
+    same evaluation count.
     """
 
     @pytest.mark.parametrize(
@@ -110,9 +114,8 @@ class TestVectorizedMatchesReference:
         assert np.array_equal(vec_field.dx, ref_field.dx)
 
     def test_continuous_frames(self):
-        # Non-integer frames: summation order can differ in the last ulp,
-        # but with continuous random content exact cost ties (the only way
-        # order could matter) do not occur for this fixed seed.
+        # Non-integer frames, like the reconstructions the encoder
+        # searches: the SADs are not exact, but both paths round alike.
         rng = np.random.default_rng(42)
         current = rng.uniform(0, 255, (48, 64))
         reference = rng.uniform(0, 255, (48, 64))
@@ -194,6 +197,146 @@ class TestFastSearches:
         full_err = np.abs(full_pred - current).sum()
         fast_err = np.abs(fast_pred - current).sum()
         assert fast_err <= 2.5 * full_err + 1e-9
+
+
+#: The step-pattern searches' ring schedules, by their SEARCH_ALGORITHMS name.
+SCHEDULES = {"three_step": _three_step_schedule, "diamond": _diamond_schedule}
+
+
+def lockstep_matches_loop(schedule, current, reference, n, search_range):
+    """Run the lockstep driver and its loop oracle; assert bit-identity."""
+    field, evals = _pattern_search(
+        current, reference, n, search_range, SCHEDULES[schedule]
+    )
+    ref_field, ref_evals = _pattern_search_reference(
+        current, reference, n, search_range, SCHEDULES[schedule]
+    )
+    assert evals == ref_evals
+    assert field.dy.dtype == ref_field.dy.dtype == np.int32
+    assert np.array_equal(field.dy, ref_field.dy)
+    assert np.array_equal(field.dx, ref_field.dx)
+    return field, evals
+
+
+def unmoved_evaluations(schedule, height, width, n, search_range):
+    """Evaluations when no block ever moves: the zero vector plus each
+    ring once, counting only in-range, in-frame candidates."""
+    rings = list(SCHEDULES[schedule](search_range))
+    return sum(
+        1 + sum(
+            max(abs(oy), abs(ox)) <= search_range
+            and 0 <= y0 + oy <= height - n
+            and 0 <= x0 + ox <= width - n
+            for ring in rings
+            for oy, ox in ring
+        )
+        for y0 in range(0, height, n)
+        for x0 in range(0, width, n)
+    )
+
+
+class TestLockstepPatternSearch:
+    """Edge cases of the lockstep driver, each pinned to the loop oracle."""
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_registered_searches_use_the_lockstep_driver(self, schedule):
+        current, reference = smooth_shifted_pair(1, 2, 24, 32)
+        field, evals = SEARCH_ALGORITHMS[schedule](current, reference, 8, 4)
+        lock_field, lock_evals = lockstep_matches_loop(
+            schedule, current, reference, 8, 4
+        )
+        assert evals == lock_evals
+        assert np.array_equal(field.dy, lock_field.dy)
+        assert np.array_equal(field.dx, lock_field.dx)
+
+    def test_range_one_rejects_every_large_diamond_step(self):
+        # Identical frames: nothing beats the zero vector.  Each block
+        # scores the zero vector, the in-frame (+-1, +-1) diagonals of the
+        # large diamond and the in-frame small diamond; the four +-2
+        # points exceed the range and are neither scored nor counted.
+        frame = np.floor(np.random.default_rng(5).uniform(0, 256, (24, 24)))
+        field, evals = lockstep_matches_loop("diamond", frame, frame, 8, 1)
+        assert np.all(field.dy == 0) and np.all(field.dx == 0)
+        assert evals == unmoved_evaluations("diamond", 24, 24, 8, 1)
+        moved, _ = lockstep_matches_loop(
+            "diamond", *shifted_pair(1, -1, 24, 24, seed=6), 8, 1
+        )
+        assert np.all(np.maximum(np.abs(moved.dy), np.abs(moved.dx)) <= 1)
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("dy,dx", [(-3, -3), (3, 3), (-3, 3), (3, -3)])
+    def test_blocks_on_every_border(self, schedule, dy, dx):
+        # Motion pointing off each corner: border blocks' best candidates
+        # lie outside the frame and must be skipped, never chosen.
+        n, h, w = 8, 24, 32
+        current, reference = shifted_pair(dy, dx, h, w, seed=8)
+        field, _ = lockstep_matches_loop(schedule, current, reference, n, 5)
+        ys = np.arange(h // n)[:, None] * n + field.dy
+        xs = np.arange(w // n)[None, :] * n + field.dx
+        assert ys.min() >= 0 and ys.max() <= h - n
+        assert xs.min() >= 0 and xs.max() <= w - n
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_single_block_frame(self, schedule, n):
+        rng = np.random.default_rng(n)
+        current = np.floor(rng.uniform(0, 256, (n, n)))
+        reference = rng.uniform(0, 256, (n, n))
+        field, evals = lockstep_matches_loop(
+            schedule, current, reference, n, 7
+        )
+        assert field.shape == (1, 1)
+        assert evals == 1  # every displaced candidate leaves the frame
+
+    def test_blocks_converge_after_different_iteration_counts(self):
+        # Interior blocks move by 0, 2 or 4 pixels on both axes, so the
+        # large diamond stops after 0, 2 and 4 moves depending on the
+        # block: the convergence mask must retire each at its own pass.
+        n, by, bx, margin = 8, 6, 6, 8
+        yy, xx = np.meshgrid(
+            np.arange(by * n + 2 * margin, dtype=float),
+            np.arange(bx * n + 2 * margin, dtype=float),
+            indexing="ij",
+        )
+        big = 128 + 60 * np.sin(yy / 6.0) * np.cos(xx / 7.0) + yy + xx
+        reference = big[margin:margin + by * n, margin:margin + bx * n]
+        shifts = np.array([0, 2, 4])[
+            (np.arange(by)[:, None] + np.arange(bx)[None, :]) % 3
+        ]
+        current = np.empty_like(reference)
+        for i in range(by):
+            for j in range(bx):
+                y0, x0, d = i * n, j * n, int(shifts[i, j])
+                current[y0:y0 + n, x0:x0 + n] = big[
+                    margin + y0 + d:margin + y0 + d + n,
+                    margin + x0 + d:margin + x0 + d + n,
+                ]
+        field, _ = lockstep_matches_loop("diamond", current, reference, n, 7)
+        assert np.array_equal(field.dy[:5, :5], shifts[:5, :5])
+        assert np.array_equal(field.dx[:5, :5], shifts[:5, :5])
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_equal_cost_does_not_move_the_centre(self, schedule):
+        # A constant frame ties every candidate with the zero vector.
+        frame = np.full((24, 24), 9.0)
+        field, evals = lockstep_matches_loop(schedule, frame, frame, 8, 4)
+        assert np.all(field.dy == 0) and np.all(field.dx == 0)
+        # No block moves, so the repeating large diamond runs once.
+        assert evals == unmoved_evaluations(schedule, 24, 24, 8, 4)
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_ring_ties_take_the_first_offset(self, schedule):
+        # Rows alternate between two random patterns, so the centre block
+        # (phase-flipped) matches at both (-1, 0) and (+1, 0) exactly; the
+        # first of the two in ring order, (-1, 0), must win.  Under the
+        # diamond the +-2 row shifts only tie the zero vector: no move.
+        rng = np.random.default_rng(11)
+        rows = np.floor(rng.uniform(0, 256, (2, 12)))
+        reference = rows[np.arange(12) % 2]
+        current = reference.copy()
+        current[4:8, 4:8] = rows[(np.arange(4, 8) + 1) % 2][:, 4:8]
+        field, _ = lockstep_matches_loop(schedule, current, reference, 4, 1)
+        assert (field.dy[1, 1], field.dx[1, 1]) == (-1, 0)
 
 
 class TestMotionCompensate:
