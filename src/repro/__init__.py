@@ -13,9 +13,9 @@ Reproduction of Wolf, DATE 2005.  Subpackages:
 - :mod:`repro.runtime` — the streaming engine: many concurrent media
   sessions, a shared segment cache, and the scenario registry behind
   ``python -m repro.runtime.run``;
-- :mod:`repro.obs` — observability: virtual-time span tracing, the
-  metrics registry, Perfetto-compatible trace export, and the
-  injectable clock that is the codebase's single wall-clock boundary.
+- :mod:`repro.obs` — observability: virtual-time span tracing,
+  Perfetto-compatible trace export, and the injectable clock that is
+  the codebase's single wall-clock boundary.
 """
 
 __version__ = "1.1.0"

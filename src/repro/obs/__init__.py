@@ -2,14 +2,12 @@
 
 The paper's working method is *measured visibility* — per-PE
 utilization, stage asymmetry, deadline behaviour — and this package is
-that method as code.  Four pieces:
+that method as code.  Three pieces:
 
 * :mod:`~repro.obs.tracer` — nested spans (session -> segment -> stage,
   per-PE busy windows, per-packet link occupancy) on the engine's
   **virtual** timeline, with a zero-overhead no-op default
   (:data:`~repro.obs.tracer.NULL_TRACER`);
-* :mod:`~repro.obs.metrics` — an explicit counters/gauges/histograms
-  registry the engine report fills per run;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (load it in
   Perfetto) and flat JSONL event logs;
 * :mod:`~repro.obs.clock` — the injectable clock whose
@@ -18,7 +16,11 @@ that method as code.  Four pieces:
 
 Wire-up: ``StreamEngine(sessions, trace=TraceRecorder())`` records a
 run; ``python -m repro.runtime.run <scenario> --trace-out trace.json``
-does the same from the CLI.  See ``docs/observability.md``.
+does the same from the CLI.  The run's facts themselves — counts,
+cache, delivery, per-PE utilization and the latency/slack
+distributions — are typed fields of
+:class:`~repro.runtime.engine.EngineReport`.  See
+``docs/observability.md``.
 """
 
 from .clock import Clock, ManualClock, WallClock
@@ -30,7 +32,6 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import (
     NULL_TRACER,
     CounterSample,
@@ -42,13 +43,9 @@ from .tracer import (
 
 __all__ = [
     "Clock",
-    "Counter",
     "CounterSample",
-    "Gauge",
-    "Histogram",
     "Instant",
     "ManualClock",
-    "MetricsRegistry",
     "NULL_TRACER",
     "Span",
     "TraceRecorder",

@@ -36,7 +36,6 @@ from ..core.application import ApplicationModel
 from ..core.metrics import render_table
 from ..mpsoc.rtos import AdmissionReport, admission_test
 from ..obs.clock import Clock, WallClock
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from .cache import CacheStats, SegmentCache
 from .profiles import stage_application
@@ -150,11 +149,11 @@ class EngineReport:
     #: Run-level transport scorecard (:func:`aggregate_delivery`), ``None``
     #: when no session carried a delivery pipe.
     delivery: dict | None = None
-    #: The run's metric registry (:class:`repro.obs.MetricsRegistry`):
-    #: cache counters, delivery counters, deadline-slack histograms,
-    #: per-PE busy gauges, per-stage op totals.  The canonical queryable
-    #: form of everything this report renders.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Per-segment distributions no other field carries, each a
+    #: :func:`summarize` record: ``session.latency_s`` (completion
+    #: latency), ``session.segment_cost_s`` (virtual service time) and
+    #: ``deadline.slack_s`` (deadline minus finish, rated segments only).
+    distributions: dict[str, dict] = field(default_factory=dict)
 
     @property
     def total_frames(self) -> int:
@@ -200,7 +199,7 @@ class EngineReport:
                 "ops_saved_total": sum(self.cache.ops_saved.values()),
             },
             "delivery": self.delivery,
-            "metrics": self.metrics.to_dict(),
+            "distributions": dict(self.distributions),
             "stage_totals": dict(self.stage_totals),
             "pe_utilization": {
                 str(pe): u for pe, u in sorted(self.pe_utilization.items())
@@ -397,6 +396,7 @@ class StreamEngine:
         scheduler.bind(clocks)
         now = 0.0
         steps = 0
+        misses = 0
         unfinished = clocks
         while True:
             unfinished = [c for c in unfinished if not c.finished]
@@ -427,11 +427,12 @@ class StreamEngine:
                 cost += delivery_cost
             finish = now + cost
             session.record_timing(now, finish, from_cache=from_cache)
+            misses += session.timings[-1].missed
             scheduler.charge(clock, cost)
             if tracer.enabled:
                 self._trace_segment(
                     tracer, scheduler, session, result,
-                    now, finish, from_cache, delivery_cost,
+                    now, finish, from_cache, delivery_cost, misses,
                 )
             now = finish
         if tracer.enabled:
@@ -449,8 +450,9 @@ class StreamEngine:
             pe_util = {pe: min(1.0, b / now) for pe, b in pe_busy.items()}
             platform_name = scheduler.platform.name
         by_name = {c.name: c for c in clocks}
+        timings = [t for s in self.sessions for t in s.timings]
         delivery_summaries = [s.delivery_summary() for s in self.sessions]
-        report = EngineReport(
+        return EngineReport(
             sessions=[
                 SessionSummary(
                     name=s.name,
@@ -480,9 +482,18 @@ class StreamEngine:
             platform=platform_name,
             admission=admission,
             delivery=aggregate_delivery(delivery_summaries),
+            distributions={
+                "deadline.slack_s": summarize([
+                    t.deadline - t.finish
+                    for t in timings
+                    if not math.isinf(t.deadline)
+                ]),
+                "session.latency_s": summarize([t.latency for t in timings]),
+                "session.segment_cost_s": summarize(
+                    [t.finish - t.start for t in timings]
+                ),
+            },
         )
-        self._fill_metrics(report)
-        return report
 
     # -- observability -----------------------------------------------------
 
@@ -506,11 +517,13 @@ class StreamEngine:
         finish: float,
         from_cache: bool,
         delivery_cost: float,
+        misses: int,
     ) -> None:
         """Emit one segment's spans: the segment window on the session
         track, proportional stage sub-spans (computed segments only — a
         cache hit did no stage work), a delivery tail span, and per-PE
-        busy windows when the scheduler priced the segment on silicon."""
+        busy windows when the scheduler priced the segment on silicon.
+        ``misses`` is the run's deadline-miss count so far."""
         index = len(session.segments) - 1
         track = session.name
         timing = session.timings[-1]
@@ -571,10 +584,7 @@ class StreamEngine:
             tracer.counter(
                 "engine", "cache_hits", finish, self.cache.stats.hits
             )
-        tracer.counter(
-            "engine", "deadline_misses", finish,
-            sum(s.deadline_misses for s in self.sessions),
-        )
+        tracer.counter("engine", "deadline_misses", finish, misses)
 
     def _trace_sessions(self, tracer: Tracer) -> None:
         """Emit each session's enclosing parent span (first segment start
@@ -595,83 +605,30 @@ class StreamEngine:
                 },
             )
 
-    def _fill_metrics(self, report: EngineReport) -> None:
-        """Populate the run's metric registry from the finished report.
 
-        One explicit registration per series — cache behaviour, the
-        delivery scorecard, deadline-slack distribution, per-PE busy
-        time, per-stage op totals — so ``EngineReport.metrics`` is the
-        queryable superset of what ``render()`` prints."""
-        m = report.metrics
-        m.counter("engine.steps", "segments executed").inc(report.steps)
-        m.counter("engine.frames", "frames produced").inc(report.total_frames)
-        m.counter("engine.bits", "coded bits produced").inc(report.total_bits)
-        m.gauge(
-            "engine.virtual_makespan_s", "virtual end-to-end time"
-        ).set(report.virtual_makespan_s)
-        m.gauge("engine.elapsed_s", "wall-clock run time").set(report.elapsed_s)
-        m.counter(
-            "engine.deadline_misses", "rated segments past deadline"
-        ).inc(report.total_deadline_misses)
-        m.counter("engine.deadlines", "rated segments").inc(
-            report.total_deadlines
-        )
-        cache = report.cache
-        m.counter("cache.hits", "segment cache hits").inc(cache.hits)
-        m.counter("cache.misses", "segment cache misses").inc(cache.misses)
-        m.counter("cache.evictions", "segment cache evictions").inc(
-            cache.evictions
-        )
-        m.gauge("cache.hit_rate", "hits / lookups").set(cache.hit_rate)
-        for cls in sorted(cache.ops_saved):
-            m.counter(
-                f"cache.ops_saved.{cls}", "ops skipped by cache hits"
-            ).inc(cache.ops_saved[cls])
-        for cls in sorted(report.stage_totals):
-            m.counter(f"stage_ops.{cls}", "measured ops by class").inc(
-                report.stage_totals[cls]
-            )
-        latency = m.histogram(
-            "session.latency_s", "per-segment completion latency"
-        )
-        slack = m.histogram(
-            "deadline.slack_s", "deadline minus finish (rated segments)"
-        )
-        busy = m.histogram(
-            "session.segment_cost_s", "per-segment virtual service time"
-        )
-        for session in self.sessions:
-            for timing in session.timings:
-                latency.observe(timing.latency)
-                busy.observe(timing.finish - timing.start)
-                if not math.isinf(timing.deadline):
-                    slack.observe(timing.deadline - timing.finish)
-        if report.delivery is not None:
-            d = report.delivery
-            for key in (
-                "packets_sent", "packets_lost", "packets_late",
-                "packets_duplicate", "bytes_on_wire", "concealed_frames",
-            ):
-                m.counter(f"delivery.{key}", "run-level transport total").inc(
-                    d[key]
-                )
-            m.counter(
-                "delivery.fec_recoveries", "packets rebuilt from parity"
-            ).inc(d["packets_recovered"])
-            m.gauge("delivery.loss_pct", "marginal packet loss").set(
-                d["loss_pct"]
-            )
-            m.gauge(
-                "delivery.virtual_cost_s", "virtual time spent delivering"
-            ).set(d["virtual_cost_s"])
-            if d["psnr_under_loss_db"] is not None:
-                m.gauge(
-                    "delivery.psnr_under_loss_db", "damage-weighted PSNR"
-                ).set(d["psnr_under_loss_db"])
-        for pe in sorted(report.pe_utilization):
-            m.gauge(f"pe.{pe}.utilization", "busy share of makespan").set(
-                report.pe_utilization[pe]
-            )
+#: Quantiles every :func:`summarize` record reports.
+QUANTILES = (0.5, 0.9, 0.99)
+
+
+def summarize(values: list[float]) -> dict:
+    """Summary of one series: count, exact sum (``math.fsum``), min, max,
+    mean and nearest-rank p50/p90/p99; ``{"count": 0}`` when empty."""
+    if not values:
+        return {"count": 0}
+    ordered = sorted(values)
+    n = len(ordered)
+    total = math.fsum(ordered)
+    return {
+        "count": n,
+        "sum": total,
+        "min": ordered[0],
+        "max": ordered[-1],
+        "mean": total / n,
+        **{
+            f"p{round(q * 100)}": ordered[max(1, math.ceil(q * n)) - 1]
+            for q in QUANTILES
+        },
+    }
 
 
 def _running_totals(values) -> list[float]:

@@ -39,11 +39,12 @@ Observability flags (:mod:`repro.obs`): ``--trace-out FILE`` records the
 run with a :class:`repro.obs.TraceRecorder` and writes a Chrome
 trace-event JSON timeline (open it in https://ui.perfetto.dev — one lane
 per session, per platform PE, per network link); ``--trace-jsonl FILE``
-writes the same events as flat JSONL; ``--metrics-json FILE`` dumps the
-run's metric registry; ``--quiet`` suppresses the human-readable report
-for scripted use (file outputs and ``--json`` still happen).  Trace
-timestamps are the engine's *virtual* seconds, so the same scenario and
-seeds produce byte-identical trace files.
+writes the same events as flat JSONL; ``--quiet`` suppresses the
+human-readable report for scripted use (file outputs and ``--json``
+still happen).  ``--json`` carries every run fact, the latency and
+deadline-slack distributions included.  Trace timestamps are the
+engine's *virtual* seconds, so the same scenario and seeds produce
+byte-identical trace files.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ def run_scenario(
     net_seed: int = 0,
     trace_out: str | None = None,
     trace_jsonl: str | None = None,
-    metrics_json: str | None = None,
     quiet: bool = False,
     out=None,
 ):
@@ -182,10 +182,6 @@ def run_scenario(
             write_chrome_trace(trace_out, tracer, metadata)
         if trace_jsonl:
             write_jsonl(trace_jsonl, tracer)
-    if metrics_json:
-        with open(metrics_json, "w") as fh:
-            json.dump(report.metrics.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     if json_out:
         payload = report.to_dict()
@@ -381,13 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record the run and write a flat JSONL event log",
     )
     parser.add_argument(
-        "--metrics-json",
-        dest="metrics_json",
-        default=None,
-        metavar="FILE",
-        help="dump the run's metric registry as JSON",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the human-readable report (file outputs and "
@@ -427,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
             net_seed=args.net_seed,
             trace_out=args.trace_out,
             trace_jsonl=args.trace_jsonl,
-            metrics_json=args.metrics_json,
             quiet=args.quiet,
         )
     except AdmissionError as exc:

@@ -64,8 +64,11 @@ def run_digests(scenario_name: str, sched_name: str) -> dict[str, str]:
         trace=recorder,
         clock=ManualClock(),
     ).run()
+    # allow_nan=False: a NaN or inf in any report field fails here
+    # instead of reaching ``--json`` as non-standard JSON.
     report_json = json.dumps(
-        report.to_dict(), sort_keys=True, separators=(",", ":")
+        report.to_dict(), sort_keys=True, separators=(",", ":"),
+        allow_nan=False,
     )
     return {
         "report": hashlib.sha256(report_json.encode()).hexdigest(),

@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.obs` — tracing, metrics, clocks, exporters.
+"""Tests for :mod:`repro.obs` — tracing, clocks, exporters — and the
+report's distribution fields.
 
 The load-bearing contracts:
 
@@ -10,28 +11,30 @@ The load-bearing contracts:
 * the trace reconciles with the report — per-session segment-span time
   equals ``virtual_busy_s``, per-PE span time equals
   ``pe_utilization * makespan``;
-* the metrics registry the engine fills agrees with the report's own
-  numbers;
-* the CLI flags (``--trace-out``, ``--trace-jsonl``, ``--metrics-json``,
+* ``EngineReport.distributions`` summarises exactly the recorded
+  segment timings (one latency per segment, one slack per deadline,
+  one negative slack per miss);
+* every fact the removed metrics registry held resolves at one path of
+  ``to_dict()``, which dumps as strict JSON;
+* the CLI flags (``--trace-out``, ``--trace-jsonl``, ``--json``,
   ``--quiet``) produce the files and nothing else.
 """
 
 import itertools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import DEVICES
 from repro.net.channel import make_channel
 from repro.net.delivery import DeliveryPipe, attach_delivery
 from repro.obs import (
     NULL_TRACER,
-    Counter,
-    Gauge,
-    Histogram,
     ManualClock,
-    MetricsRegistry,
     TraceRecorder,
     Tracer,
     WallClock,
@@ -50,6 +53,7 @@ from repro.runtime import (
     StreamEngine,
     make_scheduler,
 )
+from repro.runtime.engine import summarize
 from repro.runtime.run import main as cli_main
 from repro.runtime.scenarios import REGISTRY
 
@@ -165,79 +169,66 @@ class TestClocks:
             ManualClock().tick(-1.0)
 
 
-# ------------------------------------------------------------ metrics
+# ------------------------------------------------------ distributions
 
 
-class TestMetrics:
-    def test_counter_accumulates(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
+class TestSummarize:
+    def test_empty_series(self):
+        assert summarize([]) == {"count": 0}
 
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
+    def test_single_value_is_every_quantile(self):
+        assert summarize([7.0]) == {
+            "count": 1, "sum": 7.0, "min": 7.0, "max": 7.0, "mean": 7.0,
+            "p50": 7.0, "p90": 7.0, "p99": 7.0,
+        }
 
-    def test_gauge_last_write_wins(self):
-        g = Gauge("g")
-        g.set(1.0)
-        g.set(7.0)
-        assert g.value == 7.0
+    def test_nearest_rank_on_two_values(self):
+        summary = summarize([2.0, 1.0])
+        assert (summary["p50"], summary["p90"], summary["p99"]) == (
+            1.0, 2.0, 2.0,
+        )
+        assert (summary["min"], summary["max"]) == (1.0, 2.0)
 
-    def test_histogram_exact_quantiles(self):
-        h = Histogram("h")
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-            h.observe(v)
-        assert h.quantile(0.5) == 3.0
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 5.0
-        summary = h.summary()
-        assert summary["count"] == 5
-        assert summary["mean"] == 3.0
-        assert summary["p50"] == 3.0
+    def test_nearest_rank_on_ten_values(self):
+        values = [float(v) for v in range(1, 11)]
+        random.Random(0).shuffle(values)
+        summary = summarize(values)
+        assert (summary["p50"], summary["p90"], summary["p99"]) == (
+            5.0, 9.0, 10.0,
+        )
+        assert summary["count"] == 10
+        assert summary["mean"] == 5.5
 
-    def test_histogram_empty_summary(self):
-        h = Histogram("h")
-        assert h.summary() == {"count": 0}
-        assert h.quantile(0.5) is None
+    def test_sum_is_exact(self):
+        values = [1e16, 1.0, -1e16]
+        summary = summarize(values)
+        assert summary["sum"] == math.fsum(values) == 1.0
+        assert sum(sorted(values)) == 0.0  # a plain sum loses the 1.0
+        assert summary["mean"] == 1.0 / 3
 
-    def test_histogram_rejects_bad_quantile(self):
-        h = Histogram("h")
-        h.observe(1.0)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_registry_reregistration_returns_same_instrument(self):
-        m = MetricsRegistry()
-        assert m.counter("x") is m.counter("x")
-
-    def test_registry_kind_mismatch_is_an_error(self):
-        m = MetricsRegistry()
-        m.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            m.gauge("x")
-
-    def test_registry_get_unknown_raises(self):
-        with pytest.raises(KeyError, match="no metric named"):
-            MetricsRegistry().get("nope")
-
-    def test_registry_to_dict_buckets_by_kind(self):
-        m = MetricsRegistry()
-        m.counter("a.total").inc(3)
-        m.gauge("b.level").set(0.5)
-        m.histogram("c.dist").observe(1.0)
-        d = m.to_dict()
-        assert d["counters"] == {"a.total": 3.0}
-        assert d["gauges"] == {"b.level": 0.5}
-        assert d["histograms"]["c.dist"]["count"] == 1
-
-    def test_registry_render_lists_every_metric(self):
-        m = MetricsRegistry()
-        m.counter("a.total", "things").inc(3)
-        m.histogram("c.dist").observe(1.0)
-        text = m.render()
-        assert "a.total" in text and "c.dist" in text
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=1,
+            max_size=300,
+        )
+    )
+    def test_property_quantiles_are_nearest_rank(self, values):
+        """``pN`` is the ``ceil(N * n / 100)``-th smallest value, in
+        exact integer arithmetic, and the input list is left as given."""
+        given_order = list(values)
+        summary = summarize(values)
+        assert values == given_order
+        ordered = sorted(values)
+        n = len(ordered)
+        assert summary["count"] == n
+        assert (summary["min"], summary["max"]) == (ordered[0], ordered[-1])
+        for pct in (50, 90, 99):
+            rank = -(-pct * n // 100)
+            assert summary[f"p{pct}"] == ordered[rank - 1]
+        assert (
+            summary["min"] <= summary["p50"] <= summary["p90"]
+            <= summary["p99"] <= summary["max"]
+        )
 
 
 # ------------------------------------------------------------- tracer
@@ -379,6 +370,40 @@ class TestEngineTracing:
         # cumulative series never decreases
         assert all(
             a.value <= b.value for a, b in zip(hits, hits[1:])
+        )
+
+    @pytest.fixture(scope="class")
+    def missing_run(self):
+        """A run that misses: 12 distinct cameras under round-robin."""
+        sessions = REGISTRY.get("surveillance").sessions(
+            cameras=12, unique_feeds=12, frames=16
+        )
+        return _run_traced(sessions, scheduler="roundrobin")
+
+    def test_deadline_miss_counter_is_a_running_count(self, missing_run):
+        """Each step's ``deadline_misses`` sample counts the misses of
+        every segment run so far, in step order (the segment spans'
+        emission order)."""
+        recorder, report = missing_run
+        samples = [
+            c.value for c in recorder.counters if c.name == "deadline_misses"
+        ]
+        segments = [s for s in recorder.spans if s.cat == "segment"]
+        assert len(samples) == len(segments) == report.steps
+        running = list(
+            itertools.accumulate(bool(s.args["missed"]) for s in segments)
+        )
+        assert samples == running
+
+    def test_deadline_miss_counter_ends_at_report_total(self, missing_run):
+        recorder, report = missing_run
+        samples = [
+            c for c in recorder.counters if c.name == "deadline_misses"
+        ]
+        assert report.total_deadline_misses > 0  # the run must miss
+        assert samples[-1].value == report.total_deadline_misses
+        assert samples[-1].ts_s == pytest.approx(
+            report.virtual_makespan_s, abs=TOL
         )
 
     def test_manual_clock_pins_elapsed(self):
@@ -592,67 +617,136 @@ class TestDeliveryTracing:
         )
 
 
-# ----------------------------------------------------- metrics filling
+# ------------------------------------------------ report distributions
 
 
-class TestEngineMetrics:
-    def test_registry_agrees_with_report(self):
+class TestEngineDistributions:
+    def test_counts_match_segments_and_deadlines(self):
         _, report = _run_traced(
             [
                 StubSession("a", segments=3, rate_hz=1000.0),
                 StubSession("b", segments=3),
             ]
         )
-        m = report.metrics
-        assert m.get("engine.steps").value == report.steps
-        assert m.get("cache.hits").value == report.cache.hits
-        assert m.get("cache.misses").value == report.cache.misses
+        dist = report.distributions
+        assert dist["session.latency_s"]["count"] == sum(
+            s.segments for s in report.sessions
+        )
+        assert dist["session.segment_cost_s"]["count"] == report.steps
+        assert dist["deadline.slack_s"]["count"] == report.total_deadlines
+
+    def test_negative_slacks_are_the_misses(self):
+        sessions = REGISTRY.get("surveillance").sessions(
+            cameras=12, unique_feeds=12, frames=16
+        )
+        report = StreamEngine(sessions, scheduler="roundrobin").run()
+        slacks = [
+            t.deadline - t.finish
+            for s in sessions
+            for t in s.timings
+            if not math.isinf(t.deadline)
+        ]
+        assert report.total_deadline_misses > 0  # the run must miss
+        assert summarize(slacks) == report.distributions["deadline.slack_s"]
         assert (
-            m.get("engine.deadline_misses").value
+            sum(slack < -1e-9 for slack in slacks)
             == report.total_deadline_misses
         )
-        assert (
-            m.get("deadline.slack_s").count == report.total_deadlines
-        )
-        assert (
-            m.get("session.latency_s").count
-            == sum(s.segments for s in report.sessions)
-        )
 
-    def test_delivery_metrics_present_with_pipes(self):
-        scenario = REGISTRY.get("set_top_box")
-        sessions = scenario.sessions(frames=8)
-        attach_delivery(
-            sessions, kind="iid", loss_rate=0.1, fec_group=4, seed=7
-        )
-        report = StreamEngine(sessions, cache=SegmentCache(64)).run()
-        m = report.metrics
-        assert (
-            m.get("delivery.packets_sent").value
-            == report.delivery["packets_sent"]
-        )
-        assert (
-            m.get("delivery.fec_recoveries").value
-            == report.delivery["packets_recovered"]
-        )
-        assert m.get("delivery.loss_pct").value == pytest.approx(
-            report.delivery["loss_pct"]
-        )
-
-    def test_no_delivery_metrics_without_pipes(self):
+    def test_unrated_run_has_empty_slack(self):
         _, report = _run_traced([StubSession("a")])
-        assert "delivery.packets_sent" not in report.metrics
+        assert report.distributions["deadline.slack_s"] == {"count": 0}
 
-    def test_metrics_surface_in_report_dict(self):
+    def test_distributions_surface_in_report_dict(self):
         _, report = _run_traced([StubSession("a")])
         payload = report.to_dict()
-        assert (
-            payload["metrics"]["counters"]["engine.steps"] == report.steps
-        )
+        assert payload["distributions"] == report.distributions
+        assert "metrics" not in payload
         assert payload["cache"]["lookups"] == report.cache.lookups
         assert payload["cache"]["ops_saved_total"] == sum(
             report.cache.ops_saved.values()
         )
+
+
+# ------------------------------------------------------- report facts
+
+
+#: Where each fact the removed metrics registry held now lives in
+#: ``EngineReport.to_dict()`` (the table in ``docs/observability.md``).
+REPORT_PATHS = [
+    "steps", "total_frames", "total_bits", "virtual_makespan_s",
+    "elapsed_s", "total_deadline_misses", "total_deadlines",
+    "cache.hits", "cache.misses", "cache.evictions", "cache.hit_rate",
+    "delivery.packets_sent", "delivery.packets_lost",
+    "delivery.packets_late", "delivery.packets_duplicate",
+    "delivery.bytes_on_wire", "delivery.concealed_frames",
+    "delivery.packets_recovered", "delivery.loss_pct",
+    "delivery.virtual_cost_s",
+]
+
+#: Per-session transport counters the run-level scorecard sums.
+DELIVERY_TOTALS = (
+    "segments", "segments_intact", "packets_sent", "packets_lost",
+    "packets_late", "packets_duplicate", "packets_recovered",
+    "bytes_on_wire", "concealed_frames",
+)
+
+
+class TestReportFacts:
+    @pytest.fixture(scope="class")
+    def lossy_run(self):
+        """``set_top_box`` on its own SoC behind a 10% iid channel with
+        FEC, so every report section is populated."""
+        sessions = REGISTRY.get("set_top_box").sessions(frames=8)
+        attach_delivery(
+            sessions, kind="iid", loss_rate=0.1, fec_group=4, seed=7
+        )
+        scheduler = make_scheduler(
+            "platform", platform=DEVICES["set_top_box"].platform()
+        )
+        report = StreamEngine(
+            sessions, cache=SegmentCache(64), scheduler=scheduler
+        ).run()
+        return sessions, report
+
+    def test_former_registry_facts_resolve_in_report_dict(self, lossy_run):
+        _, report = lossy_run
+        payload = report.to_dict()
+        for path in REPORT_PATHS:
+            node = payload
+            for key in path.split("."):
+                assert key in node, f"{path} missing from to_dict()"
+                node = node[key]
+            assert isinstance(node, (int, float)), path
+        assert payload["stage_totals"] == report.stage_totals
+        assert payload["pe_utilization"] == {
+            str(pe): u for pe, u in report.pe_utilization.items()
+        }
+        assert payload["pe_utilization"]  # priced on the device's PEs
+
+    def test_delivery_facts_fold_session_scorecards(self, lossy_run):
+        sessions, report = lossy_run
+        delivery = report.to_dict()["delivery"]
+        scorecards = [s.delivery_summary() for s in sessions]
+        scorecards = [d for d in scorecards if d]
+        for key in DELIVERY_TOTALS:
+            assert delivery[key] == sum(d[key] for d in scorecards), key
+        assert delivery["packets_lost"] > 0  # 10% loss on 40+ packets
+        assert delivery["packets_recovered"] > 0  # FEC rebuilt some
+        assert delivery["loss_pct"] == pytest.approx(
+            100.0 * delivery["packets_lost"] / delivery["packets_sent"]
+        )
+
+    def test_no_delivery_facts_without_pipes(self):
+        _, report = _run_traced([StubSession("a")])
+        assert report.delivery is None
+        assert report.to_dict()["delivery"] is None
+
+    def test_report_dict_is_strict_json(self, lossy_run):
+        """No NaN or inf anywhere — ``--json`` stays standard JSON."""
+        _, report = lossy_run
+        text = json.dumps(report.to_dict(), allow_nan=False)
+        assert json.loads(text)["distributions"] == report.distributions
 
 
 # ------------------------------------------------------------ export
@@ -767,22 +861,22 @@ class TestCLI:
         assert any(t.startswith("pe") for t in tracks)  # platform lanes
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
-    def test_trace_jsonl_and_metrics_json(self, tmp_path, capsys):
+    def test_trace_jsonl_and_json(self, tmp_path, capsys):
         jsonl = tmp_path / "events.jsonl"
-        metrics = tmp_path / "metrics.json"
         assert cli_main([
             "quickstart", "--set", "frames=8",
-            "--trace-jsonl", str(jsonl),
-            "--metrics-json", str(metrics), "--quiet",
+            "--trace-jsonl", str(jsonl), "--json",
         ]) == 0
-        capsys.readouterr()
+        payload = json.loads(capsys.readouterr().out)
         events = [
             json.loads(line) for line in jsonl.read_text().splitlines()
         ]
         assert any(e["type"] == "span" for e in events)
-        doc = json.loads(metrics.read_text())
-        assert "engine.steps" in doc["counters"]
-        assert "session.latency_s" in doc["histograms"]
+        dist = payload["distributions"]
+        assert sorted(dist) == [
+            "deadline.slack_s", "session.latency_s", "session.segment_cost_s",
+        ]
+        assert dist["session.latency_s"]["count"] == payload["steps"]
 
     def test_quiet_without_files_prints_nothing(self, capsys):
         assert cli_main([
@@ -790,7 +884,7 @@ class TestCLI:
         ]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_json_includes_metrics_and_cache_breakdown(self, capsys):
+    def test_json_includes_cache_breakdown(self, capsys):
         assert cli_main([
             "quickstart", "--set", "frames=8", "--json",
         ]) == 0
@@ -800,7 +894,6 @@ class TestCLI:
         assert cache["ops_saved_total"] == pytest.approx(
             sum(cache["ops_saved"].values())
         )
-        assert "engine.steps" in payload["metrics"]["counters"]
 
     def test_json_delivery_totals_include_duplicates(self, capsys):
         assert cli_main([
