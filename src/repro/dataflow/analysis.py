@@ -128,13 +128,3 @@ def is_live(graph: SDFGraph) -> bool:
         return True
     except DeadlockError:
         return False
-
-
-def iteration_tokens_restored(graph: SDFGraph) -> bool:
-    """Sanity invariant: a full iteration returns channels to their initial
-    token counts (holds for every consistent graph — used by tests)."""
-    reps = repetition_vector(graph)
-    for c in graph.channels.values():
-        if reps[c.src] * c.production != reps[c.dst] * c.consumption:
-            return False
-    return True

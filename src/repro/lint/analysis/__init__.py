@@ -7,7 +7,7 @@ whole-program half — still stdlib-only, still never importing the
 analyzed code:
 
 * :mod:`~repro.lint.analysis.facts` — one cheap AST walk per module
-  producing a serializable :class:`~repro.lint.analysis.facts.ModuleFacts`
+  producing a :class:`~repro.lint.analysis.facts.ModuleFacts`
   record: definitions, imports, constants, call sites, direct effects,
   bit-I/O field sequences;
 * :mod:`~repro.lint.analysis.callgraph` — resolves the recorded call
@@ -21,10 +21,7 @@ analyzed code:
   carrying its shortest witness call chain;
 * :mod:`~repro.lint.analysis.bitwidth` — the width-parity model: every
   literal-width ``write_bits``/``write_many`` field an encoder emits,
-  cross-checkable against the matching decoder's reads;
-* :mod:`~repro.lint.analysis.cache` — an on-disk facts cache keyed by
-  file content hash, so warm ``--check`` runs re-analyze only changed
-  modules while reproducing cold-run findings identically.
+  cross-checkable against the matching decoder's reads.
 
 Rules consume the result through :attr:`repro.lint.core.Project.analysis`.
 """
@@ -32,7 +29,6 @@ Rules consume the result through :attr:`repro.lint.core.Project.analysis`.
 from __future__ import annotations
 
 from .bitwidth import BitWidthModel, FieldSeq
-from .cache import FactsCache
 from .callgraph import CallGraph
 from .facts import FunctionFacts, ModuleFacts, extract_facts
 from .project import ProjectAnalysis
@@ -42,7 +38,6 @@ __all__ = [
     "BitWidthModel",
     "CallGraph",
     "EffectSummaries",
-    "FactsCache",
     "FieldSeq",
     "FunctionFacts",
     "ModuleFacts",

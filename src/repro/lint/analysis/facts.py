@@ -1,13 +1,8 @@
 """Per-module fact extraction: everything the interprocedural layer needs.
 
-One AST walk per module produces a :class:`ModuleFacts` record that is
-
-* **self-contained** — later passes (call graph, summaries, width
-  parity) consume only these records, never the AST again, and
-* **JSON-serializable** — the on-disk cache
-  (:mod:`repro.lint.analysis.cache`) stores the record keyed by the
-  file's content hash, so a warm run skips this walk for unchanged
-  modules and still reproduces cold-run output bit-for-bit.
+One AST walk per module produces a self-contained :class:`ModuleFacts`
+record: later passes (call graph, summaries, width parity) consume only
+these records, never the AST again.
 
 Facts are *descriptive*, not judgmental: this module records that a
 function calls ``time.time()`` or mutates a module-level dict; deciding
@@ -120,32 +115,10 @@ class FunctionFacts:
     #: statement yields one tuple literal, else empty.
     return_tuple: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "params": self.params,
-            "annotations": self.annotations,
-            "return_annotation": self.return_annotation,
-            "is_staticmethod": self.is_staticmethod,
-            "is_reference": self.is_reference,
-            "calls": self.calls,
-            "effects": self.effects,
-            "local_types": self.local_types,
-            "assigns": self.assigns,
-            "guards": self.guards,
-            "bitio": self.bitio,
-            "return_tuple": self.return_tuple,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FunctionFacts":
-        return cls(**raw)
-
 
 @dataclass
 class ModuleFacts:
-    """The serializable analysis record for one module."""
+    """The analysis record for one module."""
 
     module: str  # dotted ("repro.video.encoder")
     relpath: str
@@ -158,36 +131,6 @@ class ModuleFacts:
     classes: dict[str, dict] = field(default_factory=dict)
     #: Qualname -> facts ("<module>" holds module-level code).
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "imports": self.imports,
-            "constants": self.constants,
-            "classes": self.classes,
-            "functions": {
-                name: fn.to_dict() for name, fn in self.functions.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModuleFacts":
-        out = cls(
-            module=raw["module"],
-            relpath=raw["relpath"],
-            imports=dict(raw["imports"]),
-            constants={
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in raw["constants"].items()
-            },
-            classes=dict(raw["classes"]),
-        )
-        out.functions = {
-            name: FunctionFacts.from_dict(fn)
-            for name, fn in raw["functions"].items()
-        }
-        return out
 
 
 # ------------------------------------------------------------ helpers

@@ -1,8 +1,7 @@
 """ProjectAnalysis: the composed interprocedural view rules consume.
 
-Built once per lint run from the parsed modules (optionally through the
-facts cache) and attached to :class:`repro.lint.core.Project` as
-``project.analysis``.  Rules never touch the sub-passes' construction —
+Built once per lint run from the parsed modules and attached to
+:class:`repro.lint.core.Project` as ``project.analysis``.  Rules never touch the sub-passes' construction —
 they read :attr:`graph`, :attr:`summaries`, and :attr:`bitwidth`.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitwidth import BitWidthModel
-from .cache import FactsCache, content_hash
 from .callgraph import CallGraph, build_call_graph
 from .facts import ModuleFacts, extract_facts
 from .summaries import EffectSummaries, build_summaries
@@ -41,41 +39,16 @@ class ProjectAnalysis:
         return relpath, fn.lineno if fn else 1
 
 
-def _module_name(relpath: str) -> str:
-    # "src/repro/video/encoder.py" -> "repro.video.encoder"
-    trimmed = relpath
-    if trimmed.startswith("src/"):
-        trimmed = trimmed[len("src/"):]
-    if trimmed.endswith("/__init__.py"):
-        trimmed = trimmed[: -len("/__init__.py")]
-    elif trimmed.endswith(".py"):
-        trimmed = trimmed[: -len(".py")]
-    return trimmed.replace("/", ".")
-
-
-def build_analysis(contexts, cache: FactsCache | None = None) -> ProjectAnalysis:
+def build_analysis(contexts) -> ProjectAnalysis:
     """Run the interprocedural passes over parsed module contexts.
 
     ``contexts`` is an iterable of :class:`repro.lint.core.ModuleContext`
-    (duck-typed: ``relpath``, ``source``, ``tree``).  With a ``cache``,
-    unchanged modules (by content hash) skip fact extraction; derived
-    passes always recompute, so warm output is identical to cold.
+    (duck-typed: ``relpath``, ``module_name``, ``tree``).
     """
-    facts: dict[str, ModuleFacts] = {}
-    for ctx in sorted(contexts, key=lambda c: c.relpath):
-        module = _module_name(ctx.relpath)
-        record = None
-        digest = None
-        if cache is not None:
-            digest = content_hash(ctx.source.encode("utf-8"))
-            record = cache.get(ctx.relpath, digest)
-        if record is None:
-            record = extract_facts(module, ctx.relpath, ctx.tree)
-            if cache is not None and digest is not None:
-                cache.put(ctx.relpath, digest, record)
-        facts[module] = record
-    if cache is not None:
-        cache.save()
+    facts: dict[str, ModuleFacts] = {
+        ctx.module_name: extract_facts(ctx.module_name, ctx.relpath, ctx.tree)
+        for ctx in sorted(contexts, key=lambda c: c.relpath)
+    }
 
     graph = build_call_graph(facts)
     summaries = build_summaries(graph, exclusions=SANCTIONED_EFFECTS)

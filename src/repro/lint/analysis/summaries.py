@@ -5,8 +5,8 @@ For every function and every effect kind recorded in
 *reachable* through calls, and keep the **shortest witness chain** —
 the minimal call path from the function to the site that produces the
 effect.  Ties are broken lexicographically on the chain tuple, so the
-reported chain is a pure function of the project's facts: cold and warm
-cache runs, and runs on different machines, print the same witness.
+reported chain is a pure function of the project's facts: runs on
+different machines print the same witness.
 
 Direct effects (the function's own body) are kept separate from
 reached effects (via a callee): the intraprocedural rules already

@@ -14,11 +14,6 @@ Modes:
 * ``--format=github``: one ``::error file=...,line=...`` workflow
   annotation per problem, so findings land on the PR diff in CI.
 
-The interprocedural analysis caches per-module facts (keyed by file
-content hash) under ``<root>/.lint_cache`` so warm runs only re-analyze
-changed modules; ``--no-cache`` forces a cold run and ``--cache-dir``
-relocates the cache.  Findings are byte-identical either way.
-
 The project root is auto-detected by walking up from the current
 directory to the first ``pyproject.toml``; override with ``--root``.
 """
@@ -27,11 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
-from .analysis import FactsCache
-from .analysis.cache import DEFAULT_CACHE_DIRNAME
 from .baseline import (
     DEFAULT_BASELINE_NAME,
     apply_baseline,
@@ -89,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "::error annotations (default: text)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk analysis cache (always analyze cold)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help=f"analysis cache directory "
-        f"(default: <root>/{DEFAULT_CACHE_DIRNAME})",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     return parser
@@ -136,16 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     if not baseline_path.is_absolute():
         baseline_path = root / baseline_path
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or root / DEFAULT_CACHE_DIRNAME
-        if not cache_dir.is_absolute():
-            cache_dir = root / cache_dir
-        cache = FactsCache(str(cache_dir))
-
-    findings = run_lint(root, paths=args.paths or None, cache=cache)
-    if cache is not None:
-        cache.save()
+    findings = run_lint(root, paths=args.paths or None)
 
     if args.write_baseline:
         previous = load_baseline(baseline_path)
@@ -174,11 +148,6 @@ def main(argv: list[str] | None = None) -> int:
                     ],
                     "suppressed": len(report.suppressed),
                     "clean": report.clean,
-                    "cache": (
-                        None
-                        if cache is None
-                        else {"hits": cache.hits, "misses": cache.misses}
-                    ),
                 },
                 indent=2,
             )

@@ -5,7 +5,7 @@ and never imports the code under analysis, so it runs in milliseconds,
 needs no third-party packages, and cannot be fooled by import-time side
 effects.  Three pieces:
 
-* :class:`ModuleContext` — one parsed source file (path, source, tree);
+* :class:`ModuleContext` — one parsed source file (path, tree);
 * :class:`Project` — the whole analysis input: every module context
   plus cross-file facts (today: the set of oracle paths registered in
   ``tests/strategies/registry.py``, parsed statically);
@@ -39,7 +39,6 @@ class ModuleContext:
 
     path: Path  # absolute
     relpath: str  # POSIX, relative to the project root
-    source: str
     tree: ast.Module
 
     @property
@@ -217,7 +216,7 @@ def parse_module(path: Path, root: Path) -> ModuleContext | Finding:
             rule="parse-error",
             message=f"could not parse: {exc.msg}",
         )
-    return ModuleContext(path=path, relpath=relpath, source=source, tree=tree)
+    return ModuleContext(path=path, relpath=relpath, tree=tree)
 
 
 def load_registered_oracles(root: Path) -> frozenset[str] | None:
@@ -246,15 +245,12 @@ def load_registered_oracles(root: Path) -> frozenset[str] | None:
 def build_project(
     root: Path,
     paths: Iterable[str] | None = None,
-    cache: "FactsCache | None" = None,
 ) -> tuple[Project, list[Finding]]:
     """Parse the tree once; returns the project + any parse-error findings.
 
     The interprocedural analysis is built over whatever was parsed (a
     partial ``paths`` selection gives a partial call graph — calls into
-    unparsed modules simply don't resolve).  ``cache`` is an optional
-    :class:`~repro.lint.analysis.cache.FactsCache`: unchanged files skip
-    fact extraction; findings are identical either way.
+    unparsed modules simply don't resolve).
     """
     from .analysis.project import build_analysis
 
@@ -267,7 +263,7 @@ def build_project(
         else:
             project.modules.append(parsed)
     project.registered_oracles = load_registered_oracles(root)
-    project.analysis = build_analysis(project.modules, cache)
+    project.analysis = build_analysis(project.modules)
     return project, parse_failures
 
 
@@ -285,12 +281,11 @@ def run_lint(
     root: Path,
     paths: Iterable[str] | None = None,
     checkers: Iterable[Checker] | None = None,
-    cache: "FactsCache | None" = None,
 ) -> list[Finding]:
     """Full pipeline: discover, parse, run every (or the given) rule."""
     from .rules import default_checkers
 
-    project, findings = build_project(root, paths, cache=cache)
+    project, findings = build_project(root, paths)
     findings.extend(
         run_checkers(
             project,

@@ -30,7 +30,8 @@ measured rather than analytic numbers (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 from ..core.application import ApplicationModel
 from ..core.metrics import render_table
@@ -79,22 +80,7 @@ class SessionSummary:
         return self.from_cache / self.segments if self.segments else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "segments": self.segments,
-            "frames": self.frames,
-            "bits": self.bits,
-            "computed": self.computed,
-            "from_cache": self.from_cache,
-            "rate_hz": self.rate_hz,
-            "deadline_misses": self.deadline_misses,
-            "deadlines": self.deadlines,
-            "virtual_busy_s": self.virtual_busy_s,
-            "mean_latency_s": self.mean_latency_s,
-            "max_latency_s": self.max_latency_s,
-            "delivery": self.delivery,
-        }
+        return asdict(self)
 
 
 def aggregate_delivery(summaries: "list[dict | None]") -> dict | None:
@@ -555,7 +541,7 @@ class StreamEngine:
                 cursor = start
                 ends = [
                     start + window * (cum / total)
-                    for cum in _running_totals(ops for _, ops in stages)
+                    for cum in accumulate(ops for _, ops in stages)
                 ]
                 ends[-1] = compute_end  # exact, despite float accumulation
                 for (stage, ops), end in zip(stages, ends):
@@ -629,16 +615,6 @@ def summarize(values: list[float]) -> dict:
             for q in QUANTILES
         },
     }
-
-
-def _running_totals(values) -> list[float]:
-    """Cumulative sums (no numpy import for a handful of stages)."""
-    totals: list[float] = []
-    acc = 0.0
-    for v in values:
-        acc += v
-        totals.append(acc)
-    return totals
 
 
 def measured_application(

@@ -10,20 +10,15 @@ Covers the PR 9 acceptance points for ``repro.lint.analysis``:
 * transitive rule findings: the entry point is flagged with the full
   call chain, intermediate callers stay quiet (root noise control);
 * the width-parity rule: mismatched writer/reader fields and masked /
-  unvalidated narrowing fire, a well-formed pair stays clean;
-* the on-disk facts cache: warm findings byte-identical to cold, both
-  before and after a single-file edit, with the cache actually hit.
+  unvalidated narrowing fire, a well-formed pair stays clean.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.lint.analysis import facts as F
-from repro.lint.analysis.cache import FactsCache, content_hash
 from repro.lint.analysis.summaries import root_entry_points
-from repro.lint.cli import main
 from repro.lint.core import build_project, run_lint
 from repro.lint.rules.widthparity import WidthParityChecker
 
@@ -35,9 +30,9 @@ def materialize(tmp_path: Path, files: dict[str, str]) -> None:
         target.write_text(source)
 
 
-def analyze(tmp_path: Path, files: dict[str, str], cache=None):
+def analyze(tmp_path: Path, files: dict[str, str]):
     materialize(tmp_path, files)
-    project, _ = build_project(tmp_path, None, cache=cache)
+    project, _ = build_project(tmp_path, None)
     return project
 
 
@@ -269,16 +264,19 @@ class TestWidthParity:
         assert "misses the trailing field" in findings[0].message
 
     def test_masked_narrowing_flagged(self, tmp_path):
-        findings = wp_findings(tmp_path, {
-            "src/repro/video/fmt.py": (
-                "def write_header(w, count):\n"
-                "    w.write_bits(count & 0xFFFF, 16)\n"
-                "def read_header(r):\n"
-                "    return r.read_bits(16)\n"
-            ),
-        })
-        assert len(findings) == 1
-        assert "masks the value" in findings[0].message
+        # Widening the writer and reader moves the finding to the new width.
+        for mask, width in ((0xFF, 8), (0xFFFF, 16)):
+            findings = wp_findings(tmp_path / str(width), {
+                "src/repro/video/fmt.py": (
+                    "def write_header(w, count):\n"
+                    f"    w.write_bits(count & {mask:#x}, {width})\n"
+                    "def read_header(r):\n"
+                    f"    return r.read_bits({width})\n"
+                ),
+            })
+            assert len(findings) == 1
+            assert "masks the value" in findings[0].message
+            assert f"({width} bits)" in findings[0].message
 
     def test_unvalidated_name_flagged(self, tmp_path):
         findings = wp_findings(tmp_path, {
@@ -308,93 +306,3 @@ class TestWidthParity:
             ),
         })
         assert findings == []
-
-
-# ------------------------------------------------------------------ cache
-
-
-CACHE_TREE = {
-    "pyproject.toml": "[project]\nname = 'fixture'\n",
-    "src/repro/video/fmt.py": (
-        "def write_header(w, count):\n"
-        "    w.write_bits(count & 0xFF, 8)\n"
-        "def read_header(r):\n"
-        "    return r.read_bits(8)\n"
-    ),
-    "src/repro/video/clocked.py": (
-        "import time\n"
-        "def stamp():\n"
-        "    return time.time()\n"
-        "def encode_stream(frames):\n"
-        "    stamp()\n"
-        "    return frames\n"
-    ),
-}
-
-
-class TestFactsCache:
-    def run_cli(self, tmp_path, capsys, *extra):
-        code = main(
-            ["--root", str(tmp_path), "--no-baseline", "--json", *extra]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        return code, payload
-
-    def test_warm_equals_cold(self, tmp_path, capsys):
-        materialize(tmp_path, CACHE_TREE)
-        _, cold = self.run_cli(tmp_path, capsys, "--no-cache")
-        _, first = self.run_cli(tmp_path, capsys)
-        _, warm = self.run_cli(tmp_path, capsys)
-        assert cold["cache"] is None
-        assert first["cache"]["misses"] > 0
-        assert warm["cache"]["misses"] == 0 and warm["cache"]["hits"] > 0
-        for payload in (first, warm):
-            assert payload["new"] == cold["new"]
-
-    def test_single_file_edit_invalidates_only_that_module(
-        self, tmp_path, capsys
-    ):
-        materialize(tmp_path, CACHE_TREE)
-        _, first = self.run_cli(tmp_path, capsys)
-        edited = dict(CACHE_TREE)
-        edited["src/repro/video/fmt.py"] = (
-            "def write_header(w, count):\n"
-            "    w.write_bits(count & 0xFFFF, 16)\n"
-            "def read_header(r):\n"
-            "    return r.read_bits(16)\n"
-        )
-        materialize(tmp_path, edited)
-        _, warm = self.run_cli(tmp_path, capsys)
-        assert warm["cache"]["misses"] == 1  # only the edited module
-        assert warm["cache"]["hits"] == first["cache"]["misses"] - 1
-        _, cold = self.run_cli(tmp_path, capsys, "--no-cache")
-        assert warm["new"] == cold["new"]
-        assert any("16" in f["message"] for f in warm["new"])
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path, capsys):
-        materialize(tmp_path, CACHE_TREE)
-        _, cold = self.run_cli(tmp_path, capsys, "--no-cache")
-        cache_dir = tmp_path / ".lint_cache"
-        cache_dir.mkdir()
-        (cache_dir / "analysis.json").write_text("{not json")
-        _, warm = self.run_cli(tmp_path, capsys)
-        assert warm["new"] == cold["new"]
-
-    def test_content_hash_keys_the_entry(self, tmp_path):
-        cache = FactsCache(str(tmp_path / "cache"))
-        assert cache.get("src/repro/x.py", content_hash(b"abc")) is None
-        project = analyze(
-            tmp_path,
-            {"src/repro/video/tiny.py": "def f():\n    return 1\n"},
-            cache=cache,
-        )
-        assert project.analysis is not None
-        cache.save()
-        reloaded = FactsCache(str(tmp_path / "cache"))
-        digest = content_hash(
-            (tmp_path / "src/repro/video/tiny.py").read_bytes()
-        )
-        facts = reloaded.get("src/repro/video/tiny.py", digest)
-        assert facts is not None
-        assert "f" in facts.functions
-        assert reloaded.get("src/repro/video/tiny.py", "0" * 64) is None

@@ -20,6 +20,7 @@ The load-bearing contracts:
   ``--quiet``) produce the files and nothing else.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -50,6 +51,7 @@ from repro.runtime import (
     MediaSession,
     SegmentCache,
     SegmentResult,
+    SessionSummary,
     StreamEngine,
     make_scheduler,
 )
@@ -312,6 +314,39 @@ class TestEngineTracing:
             assert sum(s.dur_s for s in stages) == pytest.approx(seg.dur_s)
             # exact shared boundary at the segment end, not approximate
             assert max(s.end_s for s in stages) == seg.end_s
+
+    def test_stage_spans_split_the_window_by_cumulative_ops(self):
+        """Unequal stage ops: each stage ends at its cumulative op share
+        of the segment window, stages are contiguous in name order."""
+        stage_ops = {"vlc": 4e6, "dct": 1e6, "quant": 3e6}
+
+        class WeightedStub(StubSession):
+            def _process(self, batch):
+                result = super()._process(batch)
+                return dataclasses.replace(result, stage_ops=stage_ops)
+
+        recorder, _ = _run_traced(
+            [WeightedStub("a", segments=2, stages=tuple(stage_ops))],
+            cache=False,
+        )
+        spans = recorder.spans_on("a")
+        segments = [s for s in spans if s.cat == "segment"]
+        assert len(segments) == 2
+        for seg in segments:
+            stages = sorted(
+                (s for s in spans if s.cat == "stage" and seg.contains(s)),
+                key=lambda s: s.start_s,
+            )
+            assert [s.name for s in stages] == ["dct", "quant", "vlc"]
+            assert [s.args["ops"] for s in stages] == [1e6, 3e6, 4e6]
+            assert stages[0].start_s == seg.start_s
+            for a, b in zip(stages, stages[1:]):
+                assert a.end_s == b.start_s
+            for stage, share in zip(stages, (1 / 8, 4 / 8, 8 / 8)):
+                assert stage.end_s == pytest.approx(
+                    seg.start_s + seg.dur_s * share, abs=TOL
+                )
+            assert stages[-1].end_s == seg.end_s
 
     def test_cache_hit_segments_carry_no_stage_spans(self):
         # Two identical stubs: the second session's segments come from
@@ -741,6 +776,17 @@ class TestReportFacts:
         _, report = _run_traced([StubSession("a")])
         assert report.delivery is None
         assert report.to_dict()["delivery"] is None
+
+    def test_session_dict_lists_fields_in_declaration_order(
+        self, lossy_run
+    ):
+        _, report = lossy_run
+        names = [f.name for f in dataclasses.fields(SessionSummary)]
+        for summary in report.sessions:
+            payload = summary.to_dict()
+            assert list(payload) == names
+            assert payload == {n: getattr(summary, n) for n in names}
+        assert any(s.to_dict()["delivery"] for s in report.sessions)
 
     def test_report_dict_is_strict_json(self, lossy_run):
         """No NaN or inf anywhere — ``--json`` stays standard JSON."""
